@@ -3,32 +3,30 @@ for generalized Pareto subclasses, with an independent numerical oracle."""
 
 __version__ = "0.1.0"
 
-from .distributions import (GEVParams, GPMapping, GPParams, Gamma, LogPower,
-                            Lomax, Pareto, Power, ShiftedExp, Uniform,
-                            as_generator, inverted_pareto, to_gp)
+from .distributions import (GPMapping, GPParams, Gamma, LogPower, Lomax,
+                            Pareto, Power, ShiftedExp, Uniform, as_generator,
+                            inverted_pareto, to_gp)
 from .errors import (ConvergenceError, CoverageError, DataError, DomainError,
                      InvalidRegimeError, NoInformationError, TailBayesError,
-                     UnsupportedCompositionError, UnsupportedMappingError,
-                     UsageError)
+                     UnsupportedMappingError, UsageError)
 from .pot_pipeline import (FittedModel, ModelSpec, SuffStats, SupportReport,
                            fit, holdout_log_predictive, merge, pot_fit,
                            predict, select_threshold, sequential_update,
                            suff_stats, support)
 from .predictives import (ParetoLogLink, ParetoNegLogLink, ParetoShiftLink,
                           Trapezoid)
-from .special_functions import inc_beta_b0, upper_inc_gamma_neg
+from .special_functions import upper_inc_gamma_neg
 
 __all__ = [
     "__version__",
-    "GEVParams", "GPMapping", "GPParams", "Gamma", "LogPower", "Lomax",
-    "Pareto", "Power", "ShiftedExp", "Uniform", "as_generator",
-    "inverted_pareto", "to_gp",
+    "GPMapping", "GPParams", "Gamma", "LogPower", "Lomax", "Pareto", "Power",
+    "ShiftedExp", "Uniform", "as_generator", "inverted_pareto", "to_gp",
     "ConvergenceError", "CoverageError", "DataError", "DomainError",
     "InvalidRegimeError", "NoInformationError", "TailBayesError",
-    "UnsupportedCompositionError", "UnsupportedMappingError", "UsageError",
+    "UnsupportedMappingError", "UsageError",
     "FittedModel", "ModelSpec", "SuffStats", "SupportReport", "fit",
     "holdout_log_predictive", "merge", "pot_fit", "predict",
     "select_threshold", "sequential_update", "suff_stats", "support",
     "ParetoLogLink", "ParetoNegLogLink", "ParetoShiftLink", "Trapezoid",
-    "inc_beta_b0", "upper_inc_gamma_neg",
+    "upper_inc_gamma_neg",
 ]

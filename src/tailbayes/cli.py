@@ -14,41 +14,22 @@ import json
 import math
 import os
 import sys
+import typing
 
 import numpy as np
 
 from . import __version__
-from . import conjugate_exponential
-from . import conjugate_pareto
-from . import conjugate_power
-from . import conjugate_uniform
 from . import distributions
 from . import oracle
 from .errors import (ConvergenceError, CoverageError, DataError, DomainError,
                      InvalidRegimeError, NoInformationError,
-                     UnsupportedCompositionError, UnsupportedMappingError,
-                     UsageError)
-from .pot_pipeline import (FittedModel, ModelSpec, fit, holdout_log_predictive,
-                           pot_fit, predict, sequential_update, suff_stats,
-                           support)
+                     UnsupportedMappingError, UsageError)
+from .pot_pipeline import (CELLS, FAMILIES, FittedModel, ModelSpec, fit,
+                           holdout_log_predictive, pot_fit, predict,
+                           sequential_update, suff_stats, support)
 from .sufficient import SuffStats
 
 SCHEMA_VERSION = 1
-
-_PRIOR_CLASSES = {
-    ("pareto", "location"): conjugate_pareto.ParetoPriorL,
-    ("pareto", "shape"): conjugate_pareto.ParetoPriorAlpha,
-    ("pareto", "joint"): conjugate_pareto.ParetoJointPrior,
-    ("shifted_exp", "location"): conjugate_exponential.ExpPriorL,
-    ("shifted_exp", "shape"): conjugate_exponential.ExpPriorAlpha,
-    ("shifted_exp", "joint"): conjugate_exponential.ExpJointPrior,
-    ("power", "location"): conjugate_power.PowerPriorU,
-    ("power", "shape"): conjugate_power.PowerPriorAlpha,
-    ("power", "joint"): conjugate_power.PowerJointPrior,
-    ("uniform", "width"): conjugate_uniform.UniformPriorW,
-    ("uniform", "lower"): conjugate_uniform.UniformPriorL,
-    ("uniform", "joint"): conjugate_uniform.UniformJointPrior,
-}
 
 _SIMULATE_CLASSES = {
     "pareto": distributions.Pareto,
@@ -163,65 +144,33 @@ def ingest(path: str, fmt: str | None = None, column: str | None = None,
     return _ingest_jsonl(path, field)
 
 
-def _posterior_params(family: str, case: str, post) -> dict:
-    if case == "shape":
-        return {"shape": post.shape, "rate": post.rate}
-    if family == "pareto":
-        if case == "location":
-            return {"l_n": post.l_n, "alpha": post.alpha, "n_eff": post.n_eff}
-        return {"l_n": post.l_n, "n_eff_bound": post.n_eff_bound,
-                "shape": post.shape_posterior.shape,
-                "rate": post.shape_posterior.rate}
-    if family == "shifted_exp":
-        if case == "location":
-            return {"l_n": post.l_n, "alpha": post.alpha, "n_eff": post.n_eff}
-        return {"l_n": post.l_n, "n_eff_onset": post.n_eff_onset,
-                "shape": post.rate_posterior.shape,
-                "rate": post.rate_posterior.rate}
-    if family == "power":
-        if case == "location":
-            return {"u_n": post.u_n, "alpha": post.alpha, "n_eff": post.n_eff}
-        return {"u_n": post.u_n, "n_eff_bound": post.n_eff_bound,
-                "shape": post.shape_posterior.shape,
-                "rate": post.shape_posterior.rate}
-    if case == "width":
-        return {"w_n": post.w_n, "l": post.l, "n_eff": post.n_eff}
-    if case == "lower":
-        return {"low": post.low, "high": post.high, "width": post.width}
-    return {"l_n": post.l_n, "u_n": post.u_n, "w0": post.w0,
-            "n_eff": post.n_eff, "c_n": post.c_n, "c_n1": post.c_n1}
+def _posterior_block(post) -> dict:
+    """The posterior's fields for the state document; a nested Gamma
+    block is spelled out as its shape and rate."""
+    block = {}
+    for f in dataclasses.fields(post):
+        value = getattr(post, f.name)
+        block.update(dataclasses.asdict(value) if dataclasses.is_dataclass(value)
+                     else {f.name: value})
+    return block
 
 
-def _rebuild_posterior(family: str, case: str, params: dict):
-    gamma = conjugate_pareto.GammaPosterior
-    try:
-        if case == "shape":
-            return gamma(shape=params["shape"], rate=params["rate"])
-        if family == "pareto":
-            if case == "location":
-                return conjugate_pareto.LowerBoundPosterior(**params)
-            return conjugate_pareto.ParetoJointPosterior(
-                l_n=params["l_n"], n_eff_bound=params["n_eff_bound"],
-                shape_posterior=gamma(shape=params["shape"], rate=params["rate"]))
-        if family == "shifted_exp":
-            if case == "location":
-                return conjugate_exponential.OnsetPosterior(**params)
-            return conjugate_exponential.ExpJointPosterior(
-                l_n=params["l_n"], n_eff_onset=params["n_eff_onset"],
-                rate_posterior=gamma(shape=params["shape"], rate=params["rate"]))
-        if family == "power":
-            if case == "location":
-                return conjugate_power.UpperBoundPosterior(**params)
-            return conjugate_power.PowerJointPosterior(
-                u_n=params["u_n"], n_eff_bound=params["n_eff_bound"],
-                shape_posterior=gamma(shape=params["shape"], rate=params["rate"]))
-        if case == "width":
-            return conjugate_uniform.WidthPosterior(**params)
-        if case == "lower":
-            return conjugate_uniform.LocationPosterior(**params)
-        return conjugate_uniform.UniformJointPosterior(**params)
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"state file posterior block is malformed: {exc}") from None
+def _posterior_from_block(cls, block: dict):
+    """Rebuild a posterior of class cls from its block; a missing or an
+    unknown key is a malformed state file."""
+    kwargs, used = {}, set()
+    for name, kind in typing.get_type_hints(cls).items():
+        if dataclasses.is_dataclass(kind):
+            values = {f.name: block[f.name] for f in dataclasses.fields(kind)}
+            kwargs[name] = kind(**values)
+            used.update(values)
+        else:
+            kwargs[name] = block[name]
+            used.add(name)
+    extra = sorted(set(block) - used)
+    if extra:
+        raise DataError(f"state file posterior block has unknown keys {extra}")
+    return cls(**kwargs)
 
 
 def render_document(fitted: FittedModel, seed: int | None = None) -> str:
@@ -241,7 +190,7 @@ def render_document(fitted: FittedModel, seed: int | None = None) -> str:
             "view": spec.view,
             "threshold": spec.threshold,
         },
-        "posterior": _posterior_params(spec.family, spec.case, fitted.posterior),
+        "posterior": _posterior_block(fitted.posterior),
         "suff_stats": {"n": stats.n, "min": stats.min, "max": stats.max,
                        "sum": stats.sum, "sum_log": stats.sum_log},
         "known": dict(fitted.known),
@@ -266,12 +215,13 @@ def load_document(path: str) -> FittedModel:
         family, case = ms["family"], ms["case"]
         prior = None
         if ms["prior"] is not None:
-            prior = _PRIOR_CLASSES[(family, case)](**ms["prior"])
+            prior = CELLS[(family, case)].prior(**ms["prior"])
         spec = ModelSpec(family=family, case=case, prior=prior,
                          noninformative=ms["noninformative"],
                          known=dict(ms["known"]), view=ms["view"],
                          threshold=ms["threshold"])
-        posterior = _rebuild_posterior(family, case, doc["posterior"])
+        posterior = _posterior_from_block(CELLS[(family, case)].posterior,
+                                          doc["posterior"])
         raw = doc["suff_stats"]
         stats = SuffStats(n=raw["n"], min=raw["min"], max=raw["max"],
                           sum=raw["sum"], sum_log=raw["sum_log"])
@@ -281,13 +231,13 @@ def load_document(path: str) -> FittedModel:
         raise DataError(f"state file {path} is malformed: {exc}") from None
 
 
-def predictive_document(fitted: FittedModel, mode: str | None = None) -> dict:
+def predictive_document(fitted: FittedModel) -> dict:
     """Canonical dictionary describing the model's predictive distribution.
 
     The CLI prints exactly this as sorted JSON, so an in-process caller can
     reproduce the bytes by serializing the same dictionary.
     """
-    pred = predict(fitted, mode=mode)
+    pred = predict(fitted)
     lo, hi = pred.support()
     quantiles = {}
     for p in (0.01, 0.1, 0.5, 0.9, 0.99):
@@ -313,9 +263,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _build_prior(family: str, case: str, prior_kv: dict, known_kv: dict):
-    cls = _PRIOR_CLASSES.get((family, case))
-    if cls is None:
+    cell = CELLS.get((family, case))
+    if cell is None:
         raise UsageError(f"unknown family/case pair: {family}/{case}")
+    cls = cell.prior
     names = [f.name for f in dataclasses.fields(cls)]
     kwargs = {}
     for key, value in prior_kv.items():
@@ -373,7 +324,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     fitted = load_document(args.state)
-    doc = predictive_document(fitted, mode=args.mode)
+    doc = predictive_document(fitted)
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
@@ -392,7 +343,7 @@ def _cmd_support(args) -> int:
 
 def _cmd_validate(args) -> int:
     fitted = load_document(args.state)
-    pred = predict(fitted, mode=args.mode)
+    pred = predict(fitted)
     holdout = ingest(args.holdout, args.format, args.column, args.field)
     score = holdout_log_predictive(pred, holdout)
     if score == -math.inf:
@@ -474,10 +425,8 @@ def _cmd_plotdata(args) -> int:
 
 
 def _add_model_flags(parser) -> None:
-    parser.add_argument("--family",
-                        choices=("pareto", "shifted_exp", "power", "uniform"))
-    parser.add_argument("--case",
-                        choices=("location", "shape", "joint", "width", "lower"))
+    parser.add_argument("--family", choices=tuple(FAMILIES))
+    parser.add_argument("--case", choices=tuple(dict.fromkeys(c for _, c in CELLS)))
     parser.add_argument("--prior", metavar="K=V[,K=V...]")
     parser.add_argument("--noninformative", action="store_true")
     parser.add_argument("--known", metavar="K=V[,K=V...]")
@@ -509,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="describe the posterior predictive")
     p.add_argument("--state", required=True)
-    p.add_argument("--mode", choices=("numeric", "uniform"))
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_predict)
 
@@ -520,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="score held-out data under the predictive")
     p.add_argument("--state", required=True)
     _add_data_flags(p, "--holdout")
-    p.add_argument("--mode", choices=("numeric", "uniform"))
     p.set_defaults(handler=_cmd_validate)
 
     p = sub.add_parser("pot", help="fit exceedances above the k-th largest value")
@@ -563,7 +510,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DataError, DomainError, NoInformationError, CoverageError,
-            UnsupportedMappingError, UnsupportedCompositionError) as exc:
+            UnsupportedMappingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (InvalidRegimeError, ConvergenceError) as exc:

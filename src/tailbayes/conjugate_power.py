@@ -1,9 +1,8 @@
 """Conjugate updates for power-law data on (0, u]: the finite-maximum family.
 
 Model: data follow Power(u, alpha), density alpha*x^(alpha-1)/u^alpha on
-(0, u].  This family is dual to the Pareto one under x -> 1/x (and to a
-negated sample under x -> -x), so it is the natural carrier for upper
-bound estimation:
+(0, u].  This family is dual to the Pareto one under x -> 1/x, so it is the
+natural carrier for upper bound estimation:
 
 * upper bound u with alpha known; Pareto prior and posterior over u,
 * shape alpha with u known; Gamma prior and posterior over alpha,
@@ -21,14 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .conjugate_pareto import GammaPosterior, extrapolation_factor
 from .distributions import Pareto, Power
 from .errors import DomainError, InvalidRegimeError, NoInformationError
 from .predictives import ParetoNegLogLink
 from .special_functions import upper_inc_gamma_neg
-from .sufficient import SuffStats, suff_stats
+from .sufficient import SuffStats
 
 __all__ = [
     "PowerPriorU",
@@ -44,9 +41,6 @@ __all__ = [
     "predictive_joint",
     "expected_value_joint",
     "noninformative",
-    "negate",
-    "reciprocal",
-    "fit_max_of_negated",
 ]
 
 
@@ -288,30 +282,3 @@ def noninformative(case: str, stats: SuffStats, *, alpha: float | None = None,
         return GammaPosterior(shape=float(stats.n), rate=rate)
     raise DomainError(f"unknown case {case!r}; expected 'bound' or 'shape'")
 
-
-def negate(values) -> np.ndarray:
-    """Map values to their negatives: minimum problems become maximum ones."""
-    return -np.asarray(values, dtype=float)
-
-
-def reciprocal(values) -> np.ndarray:
-    """Map positive values to reciprocals: heavy upper tails become (0, u] data."""
-    arr = np.asarray(values, dtype=float)
-    if np.any(arr == 0):
-        raise DomainError("cannot take reciprocals of zero values")
-    return 1.0 / arr
-
-
-def fit_max_of_negated(values, prior: PowerPriorU):
-    """Upper-bound machinery applied to -x, reported back on the original axis.
-
-    Estimates a lower bound for `values` by fitting the power-law bound
-    update to their negatives.  The negated sample must be strictly
-    positive, so `values` must be strictly negative; shift general data
-    below zero first.  Returns (posterior bound, predictive bound) as
-    lower bounds on the original axis.
-    """
-    neg = negate(values)
-    post = posterior_u(prior, suff_stats(neg))
-    pred = predictive_u(post)
-    return -post.u_n, -pred.a

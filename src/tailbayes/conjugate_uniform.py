@@ -48,7 +48,6 @@ from .errors import (
     NoInformationError,
 )
 from .predictives import Trapezoid
-from .special_functions import inc_beta_b0
 from .sufficient import SuffStats
 
 __all__ = [
@@ -59,7 +58,6 @@ __all__ = [
     "LocationPosterior",
     "UniformJointPosterior",
     "UniformJointPredictive",
-    "FlatPredictive",
     "EvidenceResult",
     "posterior_w",
     "predictive_w",
@@ -259,17 +257,10 @@ class LocationPosterior:
 
 @dataclass(frozen=True)
 class EvidenceResult:
-    """Normalizing constant of the joint width posterior, two ways.
-
-    value is the adaptive-quadrature result and is authoritative.
-    beta_form evaluates the incomplete-beta expression for the same
-    constant as printed in closed form; it is diagnostic only (observed
-    to equal -w_n times the quadrature value, so sign-inconsistent) and
-    is None when its series is unavailable.
-    """
+    """Normalizing constant of the joint width posterior; note says how
+    it was obtained (analytic reduction or adaptive quadrature)."""
 
     value: float
-    beta_form: float | None
     note: str
 
 
@@ -282,6 +273,11 @@ class UniformJointPosterior:
     the pooled range w_n (c_n = C(N)*w_n**N, c_n1 = C(N+1)*w_n**(N+1)),
     because the raw constants can leave float range while every consumer
     only ever needs ratios.
+
+    On v > 1, (v-1)/v <= (v-1)/(v-rho) < 1, so C(k) in units of w_n lies
+    in [1/(k*(k+1)), 1/k].  A constant outside that bracket (quadrature
+    that missed the mass within ~1/N of v = 1, or a damaged state file)
+    raises ConvergenceError here, before any evaluation divides by it.
     """
 
     l_n: float
@@ -290,6 +286,18 @@ class UniformJointPosterior:
     n_eff: float
     c_n: float
     c_n1: float
+
+    def __post_init__(self):
+        if not (self.n_eff > 0 and self.u_n > self.l_n):
+            raise DomainError("joint posterior needs n_eff > 0 and u_n > l_n")
+        for name, order in (("c_n", self.n_eff), ("c_n1", self.n_eff + 1.0)):
+            value = getattr(self, name)
+            lo, hi = 1.0 / (order * (order + 1.0)), 1.0 / order
+            if not lo * (1.0 - 1e-9) <= value <= hi * (1.0 + 1e-9):
+                raise ConvergenceError(
+                    f"evidence {name} at n_eff = {self.n_eff!r} is {value!r}, "
+                    f"outside its bound [{lo!r}, {hi!r}]; the posterior is "
+                    "not evaluable here")
 
     @property
     def w_n(self) -> float:
@@ -485,58 +493,6 @@ class UniformJointPredictive:
         return x.reshape(size)
 
 
-@dataclass(frozen=True)
-class FlatPredictive:
-    """Constant-density reproduction of the joint predictive's flat middle.
-
-    Carries the stated density level on the stated interval even though
-    the two are mutually inconsistent: level*(upper-lower) need not be 1.
-    pdf reports the stated level; cdf, quantile and sample treat the
-    interval as a genuine uniform; normalization_defect measures the gap.
-    """
-
-    lower: float
-    upper: float
-    level: float
-
-    def __post_init__(self):
-        if not self.lower < self.upper:
-            raise DomainError("flat predictive needs lower < upper")
-        if self.level <= 0:
-            raise DomainError("density level must be positive")
-
-    def support(self) -> tuple[float, float]:
-        return (self.lower, self.upper)
-
-    def normalization_defect(self) -> float:
-        """Total mass implied by the stated level, minus 1."""
-        return self.level * (self.upper - self.lower) - 1.0
-
-    def log_pdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        out = np.where((xa >= self.lower) & (xa < self.upper),
-                       math.log(self.level), -np.inf)
-        return _ret(x, out)
-
-    def pdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        out = np.where((xa >= self.lower) & (xa < self.upper), self.level, 0.0)
-        return _ret(x, out)
-
-    def cdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        out = np.clip((xa - self.lower) / (self.upper - self.lower), 0.0, 1.0)
-        return _ret(x, out)
-
-    def quantile(self, p):
-        _check_prob(p)
-        pa = np.asarray(p, dtype=float)
-        return _ret(p, self.lower + pa * (self.upper - self.lower))
-
-    def sample(self, rng, size=None):
-        return self.quantile(_uniforms(as_generator(rng), size))
-
-
 def posterior_w(prior: UniformPriorW, stats: SuffStats) -> WidthPosterior:
     """Update the width block: w_n = max(w0, data max - l), count n0 + n."""
     if stats.n > 0 and stats.min < prior.l:
@@ -589,8 +545,7 @@ def evidence_C(n_eff: float, w0: float, w_n: float) -> EvidenceResult:
 
     Reduces analytically to w_n**-N / N when w0 = w_n.  Refuses w0 > w_n:
     the integrand then has a non-integrable pole at w = w0 inside the
-    support.  beta_form additionally evaluates the closed-form
-    incomplete-beta expression for comparison (diagnostic only).
+    support.
     """
     if n_eff <= 0:
         raise DomainError("evidence needs a positive effective count")
@@ -602,22 +557,10 @@ def evidence_C(n_eff: float, w0: float, w_n: float) -> EvidenceResult:
             "marginal has a non-integrable pole and no posterior exists"
         )
     if w0 == w_n:
-        return EvidenceResult(
-            value=w_n ** (-n_eff) / n_eff,
-            beta_form=None,
-            note="analytic reduction at w0 = w_n; beta form not applicable",
-        )
-    value = _tail_linear_quad(n_eff, w_n, w0)
-    ratio = w0 / w_n
-    try:
-        beta_form = (w_n / w0 * inc_beta_b0(ratio, n_eff + 1.0)
-                     - inc_beta_b0(ratio, n_eff)) * w_n / w0 ** n_eff
-        note = ("beta form evaluates to -w_n times the quadrature value; "
-                "quadrature is authoritative")
-    except ConvergenceError:
-        beta_form = None
-        note = "beta form unavailable (w0/w_n too close to 1 for the series)"
-    return EvidenceResult(value=value, beta_form=beta_form, note=note)
+        return EvidenceResult(value=w_n ** (-n_eff) / n_eff,
+                              note="analytic reduction at w0 = w_n")
+    return EvidenceResult(value=_tail_linear_quad(n_eff, w_n, w0),
+                          note="adaptive quadrature")
 
 
 def posterior_joint(prior: UniformJointPrior, stats: SuffStats) -> UniformJointPosterior:
@@ -625,7 +568,8 @@ def posterior_joint(prior: UniformJointPrior, stats: SuffStats) -> UniformJointP
 
     The pooled endpoints are l_n = min(l0, data min), u_n = max(u0, data
     max); their gap w_n anchors the width marginal.  Evidence constants
-    are computed by quadrature on the w_n-scaled integrand.
+    are computed by quadrature on the w_n-scaled integrand; the posterior
+    raises ConvergenceError when they leave the bracket they must lie in.
     """
     if stats.n == 0:
         raise DomainError("joint update needs at least one observation")
@@ -654,24 +598,12 @@ def posterior_joint(prior: UniformJointPrior, stats: SuffStats) -> UniformJointP
                                  n_eff=n_eff, c_n=c_n, c_n1=c_n1)
 
 
-def predictive_joint(post: UniformJointPosterior, mode: str = "numeric"):
-    """Posterior predictive of the joint case.
-
-    mode "numeric" (default) returns the exact mixture predictive.
-    mode "uniform" returns the constant-density reproduction: level
-    C(N+1)/C(N) on the interval of that same width ending at u_n, kept
-    for comparison despite its normalization defect.
-    """
-    if mode == "numeric":
-        return UniformJointPredictive(
-            l_n=post.l_n, u_n=post.u_n, w0=post.w0,
-            n_eff=post.n_eff, c_n=post.c_n, c_n1=post.c_n1,
-        )
-    if mode == "uniform":
-        level = post.c_n1 / (post.c_n * post.w_n)
-        return FlatPredictive(lower=post.u_n - level, upper=post.u_n, level=level)
-    raise DomainError(f"unknown predictive mode {mode!r}; "
-                      "expected 'numeric' or 'uniform'")
+def predictive_joint(post: UniformJointPosterior) -> UniformJointPredictive:
+    """Posterior predictive of the joint case: the exact mixture."""
+    return UniformJointPredictive(
+        l_n=post.l_n, u_n=post.u_n, w0=post.w0,
+        n_eff=post.n_eff, c_n=post.c_n, c_n1=post.c_n1,
+    )
 
 
 def noninformative(case: str, stats: SuffStats, *, l: float | None = None,

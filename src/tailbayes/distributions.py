@@ -1,7 +1,8 @@
 """Closed-form distributions with densities, CDFs, quantiles and samplers.
 
 Every distribution is a frozen dataclass exposing the same small surface:
-``log_pdf``, ``pdf``, ``cdf``, ``quantile``, ``sample`` and ``support``.
+``log_pdf``, ``pdf``, ``cdf``, ``quantile``, ``sample`` and ``support``,
+with ``pdf``, ``quantile`` and ``sample`` written once in ``Distribution``.
 All evaluators accept scalars or numpy arrays.  Densities are computed in
 log space and exponentiated at the boundary of the call.
 
@@ -27,8 +28,8 @@ from .errors import DomainError, UnsupportedMappingError
 
 __all__ = [
     "XI_ZERO_TOL",
+    "Distribution",
     "GPParams",
-    "GEVParams",
     "Pareto",
     "Lomax",
     "ShiftedExp",
@@ -76,8 +77,26 @@ def _require(cond: bool, msg: str) -> None:
         raise DomainError(msg)
 
 
+class Distribution:
+    """Evaluation surface shared by every law here and in ``predictives``.
+
+    A subclass supplies ``log_pdf``, ``cdf``, ``support`` and the inverse
+    CDF ``_inv``; the density, quantile and sampler follow from them.
+    """
+
+    def pdf(self, x):
+        return _ret(x, np.exp(self.log_pdf(x)))
+
+    def quantile(self, p):
+        return _ret(p, self._inv(_check_prob(p)))
+
+    def sample(self, rng, size=None):
+        u = _uniforms(rng, size)
+        return _ret(u if size is not None else 0.0, self._inv(u))
+
+
 @dataclass(frozen=True)
-class GPParams:
+class GPParams(Distribution):
     """Generalized Pareto with location theta, scale sigma, tail index xi.
 
     Support is [theta, inf) for xi >= 0 and [theta, theta - sigma/xi) for
@@ -111,9 +130,6 @@ class GPParams:
         out = np.where((z >= 0) & (t > 0), body, -np.inf)
         return _ret(x, out)
 
-    def pdf(self, x):
-        return _ret(x, np.exp(self.log_pdf(x)))
-
     def cdf(self, x):
         xa = np.asarray(x, dtype=float)
         z = (xa - self.theta) / self.sigma
@@ -140,40 +156,9 @@ class GPParams:
         z = np.expm1(-self.xi * np.log1p(-p)) / self.xi
         return self.theta + self.sigma * z
 
-    def quantile(self, p):
-        return _ret(p, self._inv(_check_prob(p)))
-
-    def sample(self, rng, size=None):
-        u = _uniforms(rng, size)
-        return _ret(u if size is not None else 0.0, self._inv(u))
-
 
 @dataclass(frozen=True)
-class GEVParams:
-    """Generalized extreme value law; only its CDF is needed here."""
-
-    mu: float
-    sigma: float
-    gamma: float
-
-    def __post_init__(self):
-        _require(self.sigma > 0, "sigma must be positive")
-
-    def cdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        z = (xa - self.mu) / self.sigma
-        if abs(self.gamma) < XI_ZERO_TOL:
-            return _ret(x, np.exp(-np.exp(-z)))
-        t = 1.0 + self.gamma * z
-        if np.any(t <= 0):
-            raise DomainError(
-                "argument outside the domain of the nonzero-tail-index branch"
-            )
-        return _ret(x, np.exp(-(t ** (-1.0 / self.gamma))))
-
-
-@dataclass(frozen=True)
-class Pareto:
+class Pareto(Distribution):
     """Density alpha * l**alpha / x**(alpha+1) on x > l."""
 
     alpha: float
@@ -197,9 +182,6 @@ class Pareto:
         out = np.where(xa >= self.l, body, -np.inf)
         return _ret(x, out)
 
-    def pdf(self, x):
-        return _ret(x, np.exp(self.log_pdf(x)))
-
     def cdf(self, x):
         xa = np.asarray(x, dtype=float)
         ratio = np.where(xa >= self.l, self.l / np.where(xa > 0, xa, 1.0), 1.0)
@@ -209,16 +191,9 @@ class Pareto:
     def _inv(self, p):
         return self.l * (1.0 - np.asarray(p, dtype=float)) ** (-1.0 / self.alpha)
 
-    def quantile(self, p):
-        return _ret(p, self._inv(_check_prob(p)))
-
-    def sample(self, rng, size=None):
-        u = _uniforms(rng, size)
-        return _ret(u if size is not None else 0.0, self._inv(u))
-
 
 @dataclass(frozen=True)
-class Lomax:
+class Lomax(Distribution):
     """Pareto shifted to start at zero: alpha * l**alpha / (x+l)**(alpha+1)."""
 
     alpha: float
@@ -241,9 +216,6 @@ class Lomax:
         out = np.where(xa >= 0, body, -np.inf)
         return _ret(x, out)
 
-    def pdf(self, x):
-        return _ret(x, np.exp(self.log_pdf(x)))
-
     def cdf(self, x):
         xa = np.asarray(x, dtype=float)
         out = np.where(xa >= 0, 1.0 - (self.l / (np.abs(xa) + self.l)) ** self.alpha, 0.0)
@@ -252,16 +224,9 @@ class Lomax:
     def _inv(self, p):
         return self.l * ((1.0 - np.asarray(p, dtype=float)) ** (-1.0 / self.alpha) - 1.0)
 
-    def quantile(self, p):
-        return _ret(p, self._inv(_check_prob(p)))
-
-    def sample(self, rng, size=None):
-        u = _uniforms(rng, size)
-        return _ret(u if size is not None else 0.0, self._inv(u))
-
 
 @dataclass(frozen=True)
-class ShiftedExp:
+class ShiftedExp(Distribution):
     """Exponential with rate alpha started at l: alpha * exp(-alpha*(x-l))."""
 
     alpha: float
@@ -279,9 +244,6 @@ class ShiftedExp:
         out = np.where(xa >= self.l, body, -np.inf)
         return _ret(x, out)
 
-    def pdf(self, x):
-        return _ret(x, np.exp(self.log_pdf(x)))
-
     def cdf(self, x):
         xa = np.asarray(x, dtype=float)
         out = np.where(xa >= self.l, -np.expm1(-self.alpha * np.maximum(xa - self.l, 0.0)), 0.0)
@@ -290,16 +252,9 @@ class ShiftedExp:
     def _inv(self, p):
         return self.l - np.log1p(-np.asarray(p, dtype=float)) / self.alpha
 
-    def quantile(self, p):
-        return _ret(p, self._inv(_check_prob(p)))
-
-    def sample(self, rng, size=None):
-        u = _uniforms(rng, size)
-        return _ret(u if size is not None else 0.0, self._inv(u))
-
 
 @dataclass(frozen=True)
-class Power:
+class Power(Distribution):
     """Density b * x**(b-1) / a**b on 0 < x < a (upper bound a)."""
 
     a: float
@@ -330,9 +285,6 @@ class Power:
         out = np.where(xa == 0.0, at_zero, out)
         return _ret(x, out)
 
-    def pdf(self, x):
-        return _ret(x, np.exp(self.log_pdf(x)))
-
     def cdf(self, x):
         xa = np.asarray(x, dtype=float)
         frac = np.clip(xa / self.a, 0.0, 1.0)
@@ -341,16 +293,9 @@ class Power:
     def _inv(self, p):
         return self.a * np.asarray(p, dtype=float) ** (1.0 / self.b)
 
-    def quantile(self, p):
-        return _ret(p, self._inv(_check_prob(p)))
-
-    def sample(self, rng, size=None):
-        u = _uniforms(rng, size)
-        return _ret(u if size is not None else 0.0, self._inv(u))
-
 
 @dataclass(frozen=True)
-class LogPower:
+class LogPower(Distribution):
     """Density b * exp(b*(x-a)) on x < a; the log of a Power variate."""
 
     a: float
@@ -368,9 +313,6 @@ class LogPower:
         out = np.where(xa < self.a, body, -np.inf)
         return _ret(x, out)
 
-    def pdf(self, x):
-        return _ret(x, np.exp(self.log_pdf(x)))
-
     def cdf(self, x):
         xa = np.asarray(x, dtype=float)
         out = np.exp(self.b * np.minimum(xa - self.a, 0.0))
@@ -379,16 +321,9 @@ class LogPower:
     def _inv(self, p):
         return self.a + np.log(np.asarray(p, dtype=float)) / self.b
 
-    def quantile(self, p):
-        return _ret(p, self._inv(_check_prob(p)))
-
-    def sample(self, rng, size=None):
-        u = _uniforms(rng, size)
-        return _ret(u if size is not None else 0.0, self._inv(u))
-
 
 @dataclass(frozen=True)
-class Uniform:
+class Uniform(Distribution):
     """Flat density 1/(u-l) on [l, u)."""
 
     l: float
@@ -406,9 +341,6 @@ class Uniform:
         out = np.where((xa >= self.l) & (xa < self.u), body, -np.inf)
         return _ret(x, out)
 
-    def pdf(self, x):
-        return _ret(x, np.exp(self.log_pdf(x)))
-
     def cdf(self, x):
         xa = np.asarray(x, dtype=float)
         return _ret(x, np.clip((xa - self.l) / (self.u - self.l), 0.0, 1.0))
@@ -416,16 +348,9 @@ class Uniform:
     def _inv(self, p):
         return self.l + (self.u - self.l) * np.asarray(p, dtype=float)
 
-    def quantile(self, p):
-        return _ret(p, self._inv(_check_prob(p)))
-
-    def sample(self, rng, size=None):
-        u = _uniforms(rng, size)
-        return _ret(u if size is not None else 0.0, self._inv(u))
-
 
 @dataclass(frozen=True)
-class Gamma:
+class Gamma(Distribution):
     """Gamma in shape/rate form: density ~ x**(shape-1) * exp(-rate*x)."""
 
     shape: float
@@ -456,22 +381,12 @@ class Gamma:
         out = np.where(xa == 0.0, at_zero, out)
         return _ret(x, out)
 
-    def pdf(self, x):
-        return _ret(x, np.exp(self.log_pdf(x)))
-
     def cdf(self, x):
         xa = np.asarray(x, dtype=float)
         return _ret(x, special.gammainc(self.shape, self.rate * np.maximum(xa, 0.0)))
 
     def _inv(self, p):
         return special.gammaincinv(self.shape, np.asarray(p, dtype=float)) / self.rate
-
-    def quantile(self, p):
-        return _ret(p, self._inv(_check_prob(p)))
-
-    def sample(self, rng, size=None):
-        u = _uniforms(rng, size)
-        return _ret(u if size is not None else 0.0, self._inv(u))
 
     def mean(self) -> float:
         return self.shape / self.rate

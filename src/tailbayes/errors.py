@@ -15,7 +15,6 @@ __all__ = [
     "ConvergenceError",
     "CoverageError",
     "UnsupportedMappingError",
-    "UnsupportedCompositionError",
 ]
 
 
@@ -53,7 +52,3 @@ class CoverageError(TailBayesError):
 
 class UnsupportedMappingError(TailBayesError):
     """Asked to map a distribution with no generalized-Pareto form."""
-
-
-class UnsupportedCompositionError(TailBayesError):
-    """Asked to chain an update that is not conjugate-composable."""

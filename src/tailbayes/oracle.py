@@ -536,14 +536,15 @@ def diagnostic_table(cells: int = 100_000) -> list[DiagnosticRow]:
 
 def diagnostic_notes() -> list[str]:
     """Commentary for the verify report: places where two closed forms of
-    the same quantity disagree, both evaluated so the choice is auditable."""
+    the same quantity disagree, with the rejected one's value stated so
+    the choice is auditable."""
     prior = conjugate_uniform.UniformPriorL(l0=2.0, u0=8.0, w=10.0)
     post = conjugate_uniform.posterior_location(prior, suff_stats((3.0, 7.0)))
     trap = conjugate_uniform.predictive_location(post)
     l_n, u_n, w = post.high, post.low + post.width, post.width
     rejected = (l_n - u_n) / (w * (l_n - u_n + w))
-    ev = conjugate_uniform.evidence_C(2.0, 0.5, 1.0)
-    beta_text = "not evaluable" if ev.beta_form is None else repr(ev.beta_form)
+    w_n = 1.0
+    ev = conjugate_uniform.evidence_C(2.0, 0.5, w_n)
     return [
         "note: uniform lower-bound predictive keeps the flat-segment density "
         f"1/w = {trap.height!r}; the alternative closed form "
@@ -551,7 +552,7 @@ def diagnostic_notes() -> list[str]:
         "example and is rejected because it is negative and breaks "
         "normalization.",
         "note: uniform joint evidence constant at (n_eff=2, w0=0.5, w_n=1): "
-        f"quadrature {ev.value!r}; incomplete-beta form {beta_text} "
-        "(sign-inconsistent variant, evaluated for comparison only; "
-        "quadrature is authoritative).",
+        f"quadrature {ev.value!r}; the printed incomplete-beta form equals "
+        f"-w_n times it, {-w_n * ev.value!r} (sign-inconsistent; quadrature "
+        "is authoritative).",
     ]

@@ -2,17 +2,16 @@
 
 The flow is: collect sufficient statistics (or pick a threshold and keep
 the exceedances), describe the model in a ModelSpec, then fit, predict,
-and report support bounds through a single dispatch layer.  Posteriors
-can be composed sequentially (posterior of one batch acting as the prior
-for the next), which reproduces the batch result exactly for every case
-except the uniform joint one, whose posterior leaves the prior family.
+and report support bounds through one (family, case) table, CELLS.  A
+sequential update refits the original spec on the merged statistics, so
+it reproduces the batch result exactly in every case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from . import conjugate_exponential as cexp
 from . import conjugate_pareto as cpar
 from . import conjugate_power as cpow
 from . import conjugate_uniform as cuni
-from .errors import DomainError, UnsupportedCompositionError, UsageError
+from .errors import DomainError, UsageError
 from .sufficient import SuffStats, merge, suff_stats
 
 __all__ = [
@@ -30,6 +29,8 @@ __all__ = [
     "ModelSpec",
     "FittedModel",
     "SupportReport",
+    "Cell",
+    "CELLS",
     "FAMILIES",
     "fit",
     "predict",
@@ -40,40 +41,105 @@ __all__ = [
     "sequential_update",
 ]
 
-# (family, case) -> prior class accepted for that combination.
-_PRIOR_TYPES = {
-    ("pareto", "location"): cpar.ParetoPriorL,
-    ("pareto", "shape"): cpar.ParetoPriorAlpha,
-    ("pareto", "joint"): cpar.ParetoJointPrior,
-    ("shifted_exp", "location"): cexp.ExpPriorL,
-    ("shifted_exp", "shape"): cexp.ExpPriorAlpha,
-    ("shifted_exp", "joint"): cexp.ExpJointPrior,
-    ("power", "location"): cpow.PowerPriorU,
-    ("power", "shape"): cpow.PowerPriorAlpha,
-    ("power", "joint"): cpow.PowerJointPrior,
-    ("uniform", "width"): cuni.UniformPriorW,
-    ("uniform", "lower"): cuni.UniformPriorL,
-    ("uniform", "joint"): cuni.UniformJointPrior,
+
+@dataclass(frozen=True)
+class Cell:
+    """One (family, case) model, written down once.
+
+    update(prior, stats) and noninformative(stats, known) produce the
+    posterior (noninformative is None where no limit exists); known names
+    the parameters that a prior carries and a non-informative fit needs;
+    predictive(fitted) builds the posterior predictive; support(fitted)
+    reads the posterior bound and the effective count, and direction says
+    on which side of the data the bound sits.  The functions look the
+    conjugate modules up at call time, so wrappers installed on a module
+    are seen.
+    """
+
+    prior: type
+    posterior: type
+    known: tuple[str, ...]
+    update: Callable
+    noninformative: Callable | None
+    predictive: Callable
+    support: Callable
+    direction: str
+
+
+CELLS = {
+    ("pareto", "location"): Cell(
+        cpar.ParetoPriorL, cpar.LowerBoundPosterior, ("alpha",),
+        lambda p, s: cpar.posterior_l(p, s),
+        lambda s, k: cpar.noninformative("location", s, **k),
+        lambda f: cpar.predictive_l(f.posterior),
+        lambda f: (f.posterior.l_n, f.posterior.n_eff), "lower"),
+    ("pareto", "shape"): Cell(
+        cpar.ParetoPriorAlpha, cpar.GammaPosterior, ("l",),
+        lambda p, s: cpar.posterior_alpha(p, s),
+        lambda s, k: cpar.noninformative("shape", s, **k),
+        lambda f: cpar.predictive_alpha(f.posterior, f.known["l"]),
+        lambda f: (f.known["l"], f.posterior.shape), "lower"),
+    ("pareto", "joint"): Cell(
+        cpar.ParetoJointPrior, cpar.ParetoJointPosterior, (),
+        lambda p, s: cpar.posterior_joint(p, s), None,
+        lambda f: cpar.predictive_joint(f.posterior),
+        lambda f: (f.posterior.l_n, f.posterior.n_eff_bound), "lower"),
+    ("shifted_exp", "location"): Cell(
+        cexp.ExpPriorL, cexp.OnsetPosterior, ("alpha",),
+        lambda p, s: cexp.posterior_l(p, s),
+        lambda s, k: cexp.noninformative("location", s, **k),
+        lambda f: cexp.predictive_l(f.posterior),
+        lambda f: (f.posterior.l_n, f.posterior.n_eff), "lower"),
+    ("shifted_exp", "shape"): Cell(
+        cexp.ExpPriorAlpha, cpar.GammaPosterior, ("l",),
+        lambda p, s: cexp.posterior_alpha(p, s),
+        lambda s, k: cexp.noninformative("shape", s, **k),
+        lambda f: cexp.predictive_alpha(f.posterior, f.known["l"]),
+        lambda f: (f.known["l"], f.posterior.shape), "lower"),
+    ("shifted_exp", "joint"): Cell(
+        cexp.ExpJointPrior, cexp.ExpJointPosterior, (),
+        lambda p, s: cexp.posterior_joint(p, s), None,
+        lambda f: cexp.predictive_joint(f.posterior),
+        lambda f: (f.posterior.l_n, f.posterior.n_eff_onset), "lower"),
+    ("power", "location"): Cell(
+        cpow.PowerPriorU, cpow.UpperBoundPosterior, ("alpha",),
+        lambda p, s: cpow.posterior_u(p, s),
+        lambda s, k: cpow.noninformative("bound", s, **k),
+        lambda f: cpow.predictive_u(f.posterior),
+        lambda f: (f.posterior.u_n, f.posterior.n_eff), "upper"),
+    ("power", "shape"): Cell(
+        cpow.PowerPriorAlpha, cpar.GammaPosterior, ("u",),
+        lambda p, s: cpow.posterior_alpha(p, s),
+        lambda s, k: cpow.noninformative("shape", s, **k),
+        lambda f: cpow.predictive_alpha(f.posterior, f.known["u"]),
+        lambda f: (f.known["u"], f.posterior.shape), "upper"),
+    ("power", "joint"): Cell(
+        cpow.PowerJointPrior, cpow.PowerJointPosterior, (),
+        lambda p, s: cpow.posterior_joint(p, s), None,
+        lambda f: cpow.predictive_joint(f.posterior),
+        lambda f: (f.posterior.u_n, f.posterior.n_eff_bound), "upper"),
+    # the width bound is reported as a width, its predictive edge as an
+    # absolute upper end
+    ("uniform", "width"): Cell(
+        cuni.UniformPriorW, cuni.WidthPosterior, ("l",),
+        lambda p, s: cuni.posterior_w(p, s),
+        lambda s, k: cuni.noninformative("width", s, **k),
+        lambda f: cuni.predictive_w(f.posterior),
+        lambda f: (f.posterior.w_n, f.posterior.n_eff), "upper"),
+    ("uniform", "lower"): Cell(
+        cuni.UniformPriorL, cuni.LocationPosterior, ("w",),
+        lambda p, s: cuni.posterior_location(p, s),
+        lambda s, k: cuni.noninformative("lower", s, **k),
+        lambda f: cuni.predictive_location(f.posterior),
+        lambda f: (f.posterior.high, float(f.stats.n)), "lower"),
+    ("uniform", "joint"): Cell(
+        cuni.UniformJointPrior, cuni.UniformJointPosterior, (),
+        lambda p, s: cuni.posterior_joint(p, s), None,
+        lambda f: cuni.predictive_joint(f.posterior),
+        lambda f: (f.posterior.u_n, f.posterior.n_eff), "upper"),
 }
 
-FAMILIES = {
-    "pareto": ("location", "shape", "joint"),
-    "shifted_exp": ("location", "shape", "joint"),
-    "power": ("location", "shape", "joint"),
-    "uniform": ("width", "lower", "joint"),
-}
-
-# Known parameters each non-informative case requires.
-_NONINF_KNOWN = {
-    ("pareto", "location"): ("alpha",),
-    ("pareto", "shape"): ("l",),
-    ("shifted_exp", "location"): ("alpha",),
-    ("shifted_exp", "shape"): ("l",),
-    ("power", "location"): ("alpha",),
-    ("power", "shape"): ("u",),
-    ("uniform", "width"): ("l",),
-    ("uniform", "lower"): ("w",),
-}
+FAMILIES = {fam: tuple(case for f, case in CELLS if f == fam) for fam, _ in CELLS}
 
 
 @dataclass(frozen=True)
@@ -137,114 +203,32 @@ class SupportReport:
     direction: str
 
 
-def _known_from_prior(spec: ModelSpec) -> dict:
-    prior = spec.prior
-    fam, case = spec.family, spec.case
-    if case == "shape":
-        if fam == "power":
-            return {"u": prior.u}
-        return {"l": prior.l}
-    if (fam, case) in (("pareto", "location"), ("shifted_exp", "location"),
-                       ("power", "location")):
-        return {"alpha": prior.alpha}
-    if (fam, case) == ("uniform", "width"):
-        return {"l": prior.l}
-    if (fam, case) == ("uniform", "lower"):
-        return {"w": prior.w}
-    return {}
-
-
-def _require_known(spec: ModelSpec) -> dict:
-    needed = _NONINF_KNOWN.get((spec.family, spec.case))
-    if needed is None:
-        raise DomainError(
-            f"no non-informative limit is provided for {spec.family}/{spec.case}; "
-            "supply a proper prior"
-        )
-    missing = [k for k in needed if k not in spec.known]
-    if missing:
-        raise UsageError(
-            f"{spec.family}/{spec.case} non-informative fit needs known "
-            f"parameter(s) {missing}"
-        )
-    return {k: float(spec.known[k]) for k in needed}
-
-
 def fit(spec: ModelSpec, stats: SuffStats) -> FittedModel:
-    """Dispatch the conjugate update for spec on the given statistics."""
-    fam, case = spec.family, spec.case
+    """Run the conjugate update of spec's cell on the given statistics."""
+    cell = CELLS[(spec.family, spec.case)]
+    name = f"{spec.family}/{spec.case}"
     if spec.noninformative:
-        known = _require_known(spec)
-        if fam == "pareto":
-            post = cpar.noninformative(case, stats, **known)
-        elif fam == "shifted_exp":
-            post = cexp.noninformative(case, stats, **known)
-        elif fam == "power":
-            mapped = "bound" if case == "location" else case
-            post = cpow.noninformative(mapped, stats, **known)
-        else:
-            post = cuni.noninformative(case, stats, **known)
-        return FittedModel(spec=spec, posterior=post, stats=stats, known=known)
-
-    expected = _PRIOR_TYPES[(fam, case)]
-    if not isinstance(spec.prior, expected):
-        raise UsageError(
-            f"{fam}/{case} expects a {expected.__name__} prior, got "
-            f"{type(spec.prior).__name__}"
-        )
-    update = {
-        ("pareto", "location"): cpar.posterior_l,
-        ("pareto", "shape"): cpar.posterior_alpha,
-        ("pareto", "joint"): cpar.posterior_joint,
-        ("shifted_exp", "location"): cexp.posterior_l,
-        ("shifted_exp", "shape"): cexp.posterior_alpha,
-        ("shifted_exp", "joint"): cexp.posterior_joint,
-        ("power", "location"): cpow.posterior_u,
-        ("power", "shape"): cpow.posterior_alpha,
-        ("power", "joint"): cpow.posterior_joint,
-        ("uniform", "width"): cuni.posterior_w,
-        ("uniform", "lower"): cuni.posterior_location,
-        ("uniform", "joint"): cuni.posterior_joint,
-    }[(fam, case)]
-    post = update(spec.prior, stats)
-    return FittedModel(spec=spec, posterior=post, stats=stats,
-                       known=_known_from_prior(spec))
+        if cell.noninformative is None:
+            raise DomainError(f"no non-informative limit is provided for "
+                              f"{name}; supply a proper prior")
+        missing = [k for k in cell.known if k not in spec.known]
+        if missing:
+            raise UsageError(f"{name} non-informative fit needs known "
+                             f"parameter(s) {missing}")
+        known = {k: float(spec.known[k]) for k in cell.known}
+        post = cell.noninformative(stats, known)
+    else:
+        if not isinstance(spec.prior, cell.prior):
+            raise UsageError(f"{name} expects a {cell.prior.__name__} prior, "
+                             f"got {type(spec.prior).__name__}")
+        known = {k: getattr(spec.prior, k) for k in cell.known}
+        post = cell.update(spec.prior, stats)
+    return FittedModel(spec=spec, posterior=post, stats=stats, known=known)
 
 
-def predict(fitted: FittedModel, mode: str | None = None):
-    """Posterior predictive for a fitted model.
-
-    mode selects the uniform-joint predictive flavor ('numeric' default,
-    'uniform' for the constant-density reproduction) and is rejected for
-    every other model.
-    """
-    fam, case = fitted.spec.family, fitted.spec.case
-    if mode is not None and (fam, case) != ("uniform", "joint"):
-        raise UsageError("mode applies only to the uniform joint case")
-    post = fitted.posterior
-    if fam == "pareto":
-        if case == "location":
-            return cpar.predictive_l(post)
-        if case == "shape":
-            return cpar.predictive_alpha(post, fitted.known["l"])
-        return cpar.predictive_joint(post)
-    if fam == "shifted_exp":
-        if case == "location":
-            return cexp.predictive_l(post)
-        if case == "shape":
-            return cexp.predictive_alpha(post, fitted.known["l"])
-        return cexp.predictive_joint(post)
-    if fam == "power":
-        if case == "location":
-            return cpow.predictive_u(post)
-        if case == "shape":
-            return cpow.predictive_alpha(post, fitted.known["u"])
-        return cpow.predictive_joint(post)
-    if case == "width":
-        return cuni.predictive_w(post)
-    if case == "lower":
-        return cuni.predictive_location(post)
-    return cuni.predictive_joint(post, mode=mode or "numeric")
+def predict(fitted: FittedModel):
+    """Posterior predictive for a fitted model."""
+    return CELLS[(fitted.spec.family, fitted.spec.case)].predictive(fitted)
 
 
 def support(fitted: FittedModel) -> SupportReport:
@@ -254,35 +238,15 @@ def support(fitted: FittedModel) -> SupportReport:
     estimated, nothing extrapolates).  The uniform width case reports the
     posterior bound as a width and the predictive bound as an absolute
     upper end, matching how each is naturally read.  The uniform joint
-    numeric predictive has no finite support edge, so its predictive
-    bound is infinite.
+    predictive has no finite support edge, so its predictive bound is
+    infinite.
     """
     fam, case = fitted.spec.family, fitted.spec.case
-    post = fitted.posterior
-    pred = predict(fitted)
-    lo, hi = pred.support()
-    if fam in ("pareto", "shifted_exp"):
-        if case == "location":
-            return SupportReport(fam, case, post.l_n, lo, post.n_eff, "lower")
-        if case == "shape":
-            return SupportReport(fam, case, fitted.known["l"], lo,
-                                 post.shape, "lower")
-        return SupportReport(fam, case, post.l_n, lo,
-                             post.n_eff_bound if fam == "pareto" else post.n_eff_onset,
-                             "lower")
-    if fam == "power":
-        if case == "location":
-            return SupportReport(fam, case, post.u_n, hi, post.n_eff, "upper")
-        if case == "shape":
-            return SupportReport(fam, case, fitted.known["u"], hi,
-                                 post.shape, "upper")
-        return SupportReport(fam, case, post.u_n, hi, post.n_eff_bound, "upper")
-    if case == "width":
-        return SupportReport(fam, case, post.w_n, hi, post.n_eff, "upper")
-    if case == "lower":
-        return SupportReport(fam, case, post.high, lo,
-                             float(fitted.stats.n), "lower")
-    return SupportReport(fam, case, post.u_n, math.inf, post.n_eff, "upper")
+    cell = CELLS[(fam, case)]
+    bound, count = cell.support(fitted)
+    lo, hi = predict(fitted).support()
+    edge = lo if cell.direction == "lower" else hi
+    return SupportReport(fam, case, bound, edge, count, cell.direction)
 
 
 def select_threshold(data, k: int):
@@ -327,68 +291,10 @@ def holdout_log_predictive(predictive, holdout) -> float:
     return math.fsum(logs.tolist())
 
 
-def _posterior_as_prior(fitted: FittedModel):
-    """Rebuild a prior object equivalent to the current posterior."""
-    fam, case = fitted.spec.family, fitted.spec.case
-    post = fitted.posterior
-    known = fitted.known
-    if fam == "pareto":
-        if case == "location":
-            return cpar.ParetoPriorL(l0=post.l_n, n0=post.n_eff,
-                                     alpha=known["alpha"])
-        if case == "shape":
-            return cpar.ParetoPriorAlpha(g0=math.exp(post.rate / post.shape),
-                                         n0=post.shape, l=known["l"])
-        sp = post.shape_posterior
-        return cpar.ParetoJointPrior(l0=post.l_n, n0=post.n_eff_bound,
-                                     g0=math.exp(sp.rate / sp.shape),
-                                     n0_shape=sp.shape)
-    if fam == "shifted_exp":
-        if case == "location":
-            return cexp.ExpPriorL(l0=post.l_n, n0=post.n_eff,
-                                  alpha=known["alpha"])
-        if case == "shape":
-            return cexp.ExpPriorAlpha(mu0=known["l"] + post.rate / post.shape,
-                                      n0=post.shape, l=known["l"])
-        rp = post.rate_posterior
-        return cexp.ExpJointPrior(l0=post.l_n, n0=post.n_eff_onset,
-                                  mu0=rp.rate / rp.shape, n0_rate=rp.shape)
-    if fam == "power":
-        if case == "location":
-            return cpow.PowerPriorU(u0=post.u_n, n0=post.n_eff,
-                                    alpha=known["alpha"])
-        if case == "shape":
-            return cpow.PowerPriorAlpha(g0=math.exp(-post.rate / post.shape),
-                                        n0=post.shape, u=known["u"])
-        sp = post.shape_posterior
-        return cpow.PowerJointPrior(u0=post.u_n, n0=post.n_eff_bound,
-                                    g0=math.exp(-sp.rate / sp.shape),
-                                    n0_shape=sp.shape)
-    if case == "width":
-        return cuni.UniformPriorW(w0=post.w_n, n0=post.n_eff, l=known["l"])
-    return cuni.UniformPriorL(l0=post.high, u0=post.low + post.width,
-                              w=post.width)
-
-
 def sequential_update(fitted: FittedModel, new_stats: SuffStats) -> FittedModel:
-    """Absorb a new batch by using the current posterior as the prior.
+    """Absorb a new batch: refit the original spec on the merged statistics.
 
-    Matches the batch fit on the concatenated data exactly for every
-    composable case; the original spec and the merged statistics are
-    carried along.  The uniform joint case refuses (not composable).
+    The result is the batch fit on the merged statistics by construction,
+    in every case, the uniform joint one included.
     """
-    fam, case = fitted.spec.family, fitted.spec.case
-    merged = merge(fitted.stats, new_stats)
-    if (fam, case) == ("uniform", "joint"):
-        raise UnsupportedCompositionError(
-            "the uniform joint posterior leaves its prior family (the width "
-            "marginal is not conjugate); refit from the full data instead"
-        )
-    if not getattr(fitted.posterior, "is_proper", True):
-        return fit(fitted.spec, merged)
-    chained = ModelSpec(family=fam, case=case, prior=_posterior_as_prior(fitted),
-                        known=fitted.spec.known, view=fitted.spec.view,
-                        threshold=fitted.spec.threshold)
-    refreshed = fit(chained, new_stats)
-    return FittedModel(spec=fitted.spec, posterior=refreshed.posterior,
-                       stats=merged, known=fitted.known)
+    return fit(fitted.spec, merge(fitted.stats, new_stats))

@@ -27,10 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _check_prob, _ret, _uniforms
+from .distributions import Distribution, _ret
 from .errors import DomainError
 
 __all__ = [
+    "ParetoLink",
     "ParetoLogLink",
     "ParetoShiftLink",
     "ParetoNegLogLink",
@@ -44,12 +45,13 @@ def _require(cond: bool, msg: str) -> None:
 
 
 @dataclass(frozen=True)
-class ParetoLogLink:
-    """Heavy-tailed predictive above a finite lower edge.
+class ParetoLink(Distribution):
+    """Shared body of the link predictives: y(x) ~ Pareto(shape, scale).
 
-    The transformed variable log(x/anchor) + offset follows
-    Pareto(shape, scale); the observable lives on
-    [anchor * exp(scale - offset), inf).
+    A subclass supplies the link ``_y`` (+-inf outside its domain), the
+    log-Jacobian ``_log_jacobian`` = log|dy/dx|, the inverse ``_x`` and
+    the ``support``.  ``cdf`` and ``_inv`` here are those of a link that
+    rises in x; a falling link overrides both.
     """
 
     shape: float
@@ -60,6 +62,50 @@ class ParetoLogLink:
     def __post_init__(self):
         _require(self.shape > 0, "shape must be positive")
         _require(self.scale > 0, "scale must be positive")
+
+    def log_pdf(self, x):
+        xa = np.asarray(x, dtype=float)
+        y = self._y(xa)
+        ok = y >= self.scale
+        with np.errstate(divide="ignore", invalid="ignore"):
+            body = (
+                math.log(self.shape)
+                + self.shape * math.log(self.scale)
+                + self._log_jacobian(xa)
+                - (self.shape + 1.0) * np.log(np.where(ok, y, 1.0))
+            )
+        return _ret(x, np.where(ok, body, -np.inf))
+
+    def _tail(self, x):
+        """P(Y >= y(x)), which is 1 below the latent scale."""
+        y = self._y(np.asarray(x, dtype=float))
+        return (self.scale / np.where(y >= self.scale, y, self.scale)) ** self.shape
+
+    def _y_at_tail(self, q):
+        """The latent y with P(Y >= y) = q."""
+        return self.scale * np.asarray(q, dtype=float) ** (-1.0 / self.shape)
+
+    def cdf(self, x):
+        return _ret(x, 1.0 - self._tail(x))
+
+    def _inv(self, p):
+        return self._x(self._y_at_tail(1.0 - np.asarray(p, dtype=float)))
+
+
+def _log_positive(xa):
+    return np.log(np.where(xa > 0, xa, 1.0))
+
+
+class ParetoLogLink(ParetoLink):
+    """Heavy-tailed predictive above a finite lower edge.
+
+    The transformed variable log(x/anchor) + offset follows
+    Pareto(shape, scale); the observable lives on
+    [anchor * exp(scale - offset), inf).
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
         _require(self.anchor > 0, "anchor must be positive")
 
     def support(self) -> tuple[float, float]:
@@ -69,98 +115,36 @@ class ParetoLogLink:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(xa > 0, np.log(xa / self.anchor), -np.inf) + self.offset
 
-    def log_pdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        y = self._y(xa)
-        ok = y >= self.scale
-        with np.errstate(divide="ignore", invalid="ignore"):
-            body = (
-                math.log(self.shape)
-                + self.shape * math.log(self.scale)
-                - np.log(np.where(xa > 0, xa, 1.0))
-                - (self.shape + 1.0) * np.log(np.where(ok, y, 1.0))
-            )
-        return _ret(x, np.where(ok, body, -np.inf))
+    def _log_jacobian(self, xa):
+        return -_log_positive(xa)
 
-    def pdf(self, x):
-        return _ret(x, np.exp(self.log_pdf(x)))
-
-    def cdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        y = self._y(xa)
-        ok = y >= self.scale
-        out = np.where(ok, 1.0 - (self.scale / np.where(ok, y, 1.0)) ** self.shape, 0.0)
-        return _ret(x, out)
-
-    def _inv(self, p):
-        y = self.scale * (1.0 - np.asarray(p, dtype=float)) ** (-1.0 / self.shape)
+    def _x(self, y):
         return self.anchor * np.exp(y - self.offset)
 
-    def quantile(self, p):
-        return _ret(p, self._inv(_check_prob(p)))
 
-    def sample(self, rng, size=None):
-        u = _uniforms(rng, size)
-        return _ret(u if size is not None else 0.0, self._inv(u))
-
-
-@dataclass(frozen=True)
-class ParetoShiftLink:
+class ParetoShiftLink(ParetoLink):
     """Lomax-shaped predictive above a finite lower edge.
 
     The transformed variable x - anchor + offset follows
     Pareto(shape, scale); the observable lives on
-    [anchor + scale - offset, inf).
+    [anchor + (scale - offset), inf), whose edge is exactly the anchor
+    when scale == offset.
     """
 
-    shape: float
-    scale: float
-    offset: float
-    anchor: float
-
-    def __post_init__(self):
-        _require(self.shape > 0, "shape must be positive")
-        _require(self.scale > 0, "scale must be positive")
-
     def support(self) -> tuple[float, float]:
-        return (self.anchor + self.scale - self.offset, math.inf)
+        return (self.anchor + (self.scale - self.offset), math.inf)
 
-    def log_pdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        y = xa - self.anchor + self.offset
-        ok = y >= self.scale
-        with np.errstate(divide="ignore", invalid="ignore"):
-            body = (
-                math.log(self.shape)
-                + self.shape * math.log(self.scale)
-                - (self.shape + 1.0) * np.log(np.where(ok, y, 1.0))
-            )
-        return _ret(x, np.where(ok, body, -np.inf))
+    def _y(self, xa):
+        return xa - self.anchor + self.offset
 
-    def pdf(self, x):
-        return _ret(x, np.exp(self.log_pdf(x)))
+    def _log_jacobian(self, xa):
+        return 0.0
 
-    def cdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        y = xa - self.anchor + self.offset
-        ok = y >= self.scale
-        out = np.where(ok, 1.0 - (self.scale / np.where(ok, y, 1.0)) ** self.shape, 0.0)
-        return _ret(x, out)
-
-    def _inv(self, p):
-        y = self.scale * (1.0 - np.asarray(p, dtype=float)) ** (-1.0 / self.shape)
-        return self.anchor - self.offset + y
-
-    def quantile(self, p):
-        return _ret(p, self._inv(_check_prob(p)))
-
-    def sample(self, rng, size=None):
-        u = _uniforms(rng, size)
-        return _ret(u if size is not None else 0.0, self._inv(u))
+    def _x(self, y):
+        return self.anchor + (y - self.offset)
 
 
-@dataclass(frozen=True)
-class ParetoNegLogLink:
+class ParetoNegLogLink(ParetoLink):
     """Predictive below a finite upper edge, heavy toward zero.
 
     The transformed variable log(anchor/x) + offset follows
@@ -168,62 +152,34 @@ class ParetoNegLogLink:
     (0, anchor * exp(offset - scale)].
     """
 
-    shape: float
-    scale: float
-    offset: float
-    anchor: float
-
     def __post_init__(self):
-        _require(self.shape > 0, "shape must be positive")
-        _require(self.scale > 0, "scale must be positive")
+        super().__post_init__()
         _require(self.anchor > 0, "anchor must be positive")
 
     def support(self) -> tuple[float, float]:
         return (0.0, self.anchor * math.exp(self.offset - self.scale))
+
+    def cdf(self, x):
+        # y falls in x, so the latent upper tail is the lower tail of x
+        return _ret(x, self._tail(x))
+
+    def _inv(self, p):
+        return self._x(self._y_at_tail(p))
 
     def _y(self, xa):
         # anchor/x overflows for subnormal x; log(inf) = inf is the right limit
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return np.where(xa > 0, np.log(self.anchor / np.where(xa > 0, xa, 1.0)), np.inf) + self.offset
 
-    def log_pdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        y = self._y(xa)
-        ok = (xa > 0) & (y >= self.scale)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            body = (
-                math.log(self.shape)
-                + self.shape * math.log(self.scale)
-                - np.log(np.where(xa > 0, xa, 1.0))
-                - (self.shape + 1.0) * np.log(np.where(ok, y, 1.0))
-            )
-        return _ret(x, np.where(ok, body, -np.inf))
+    def _log_jacobian(self, xa):
+        return -_log_positive(xa)
 
-    def pdf(self, x):
-        return _ret(x, np.exp(self.log_pdf(x)))
-
-    def cdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        y = self._y(xa)
-        ok = (xa > 0) & (y >= self.scale)
-        out = np.where(ok, (self.scale / np.where(ok, y, 1.0)) ** self.shape, 0.0)
-        out = np.where(xa <= 0, 0.0, np.where(ok, out, 1.0))
-        return _ret(x, out)
-
-    def _inv(self, p):
-        y = self.scale * np.asarray(p, dtype=float) ** (-1.0 / self.shape)
+    def _x(self, y):
         return self.anchor * np.exp(self.offset - y)
-
-    def quantile(self, p):
-        return _ret(p, self._inv(_check_prob(p)))
-
-    def sample(self, rng, size=None):
-        u = _uniforms(rng, size)
-        return _ret(u if size is not None else 0.0, self._inv(u))
 
 
 @dataclass(frozen=True)
-class Trapezoid:
+class Trapezoid(Distribution):
     """Trapezoid density: linear ramps around a flat top.
 
     Rises on [lower, flat_lo), is constant on [flat_lo, flat_hi), falls on
@@ -306,10 +262,3 @@ class Trapezoid:
             in_mid = self.flat_lo + (pa - c1) / h
             in_ramp2 = self.upper - np.sqrt(np.maximum(2.0 * (1.0 - pa) * r2 / h, 0.0))
         return np.where(pa <= c1, in_ramp1, np.where(pa <= c2, in_mid, in_ramp2))
-
-    def quantile(self, p):
-        return _ret(p, self._inv(_check_prob(p)))
-
-    def sample(self, rng, size=None):
-        u = _uniforms(rng, size)
-        return _ret(u if size is not None else 0.0, self._inv(u))

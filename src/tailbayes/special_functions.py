@@ -1,73 +1,19 @@
 """Special functions outside the comfortable region of library routines.
 
-Two pieces are needed: the incomplete beta function with second parameter
-exactly zero, and the upper incomplete gamma function of non-positive
-order.  Standard implementations reject both corners, so the first is a
-hand-rolled truncated series and the second a direct adaptive quadrature.
+The upper incomplete gamma function of non-positive order, which standard
+implementations reject, computed by direct adaptive quadrature.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
 from .errors import ConvergenceError, DomainError
 
-__all__ = ["SeriesAccuracy", "inc_beta_b0", "upper_inc_gamma_neg"]
-
-# Beyond this the series needs tens of thousands of terms; callers fall
-# back to direct numerical integration instead.
-_SERIES_X_MAX = 0.999
-
-
-@dataclass(frozen=True)
-class SeriesAccuracy:
-    """Stopping rule for truncated series: remainder bound below rel_tol * sum.
-
-    The terms decay at least geometrically with ratio x, so the tail after
-    the current term is below term * x / (1 - x); that bound is what gets
-    compared against rel_tol times the accumulated sum.
-    """
-
-    rel_tol: float = 1e-12
-    max_terms: int = 10**6
-
-
-def inc_beta_b0(x: float, a: float, acc: SeriesAccuracy = SeriesAccuracy()) -> float:
-    """Incomplete beta B(x; a, 0) = integral of t**(a-1)/(1-t) over (0, x).
-
-    Evaluated as the series sum_k x**(a+k) / (a+k), truncated once the next
-    term drops below ``acc.rel_tol`` times the accumulated sum.  Defined for
-    0 < x < 1 and a > 0; the integral diverges at x = 1.
-    """
-    if not a > 0:
-        raise DomainError("first parameter a must be positive")
-    if x >= 1.0:
-        raise DomainError("B(x; a, 0) diverges for x >= 1")
-    if x <= 0.0:
-        raise DomainError("need x in (0, 1)")
-    if x > _SERIES_X_MAX:
-        raise ConvergenceError(
-            f"series refused for x > {_SERIES_X_MAX}; integrate numerically instead"
-        )
-    total = 0.0
-    term = x**a / a
-    tail_ratio = x / (1.0 - x)
-    k = 0
-    while True:
-        total += term
-        term = term * x * (a + k) / (a + k + 1.0)
-        k += 1
-        if term * tail_ratio < acc.rel_tol * total:
-            return total
-        if k >= acc.max_terms:
-            raise ConvergenceError(
-                f"series did not converge in {acc.max_terms} terms; "
-                f"last relative term {term / total:.3e}"
-            )
+__all__ = ["upper_inc_gamma_neg"]
 
 
 def upper_inc_gamma_neg(order: float, y: float) -> float:

@@ -13,8 +13,12 @@ import sys
 import pytest
 
 from tailbayes import cli
+from tailbayes import conjugate_exponential as cexp
+from tailbayes import conjugate_pareto as cpar
+from tailbayes import conjugate_power as cpow
+from tailbayes import conjugate_uniform as cuni
 from tailbayes.errors import DataError, UsageError
-from tailbayes.pot_pipeline import fit, suff_stats
+from tailbayes.pot_pipeline import CELLS, ModelSpec, fit, suff_stats
 
 EXACT_TOL = 1e-12
 
@@ -144,6 +148,63 @@ class TestStateRoundTrip:
         assert "drop the model flags" in capsys.readouterr().err
 
 
+# Per cell: a prior, data, and the posterior-block keys of the state
+# document (schema_version 1), written out so a change to them shows.
+CELL_DOCUMENTS = {
+    ("pareto", "location"): (cpar.ParetoPriorL(l0=5.0, n0=1.0, alpha=1.2),
+                             [3.1, 4.5, 7.0], {"l_n", "alpha", "n_eff"}),
+    ("pareto", "shape"): (cpar.ParetoPriorAlpha(g0=2.0, n0=1.0, l=1.0),
+                          [1.5, 3.0, 8.0], {"shape", "rate"}),
+    ("pareto", "joint"): (cpar.ParetoJointPrior(l0=4.0, n0=1.0, g0=2.0, n0_shape=1.0),
+                          [2.0, 6.0, 9.0], {"l_n", "n_eff_bound", "shape", "rate"}),
+    ("shifted_exp", "location"): (cexp.ExpPriorL(l0=1.0, n0=1.0, alpha=0.8),
+                                  [-0.5, 2.0, 0.7], {"l_n", "alpha", "n_eff"}),
+    ("shifted_exp", "shape"): (cexp.ExpPriorAlpha(mu0=2.0, n0=1.0, l=0.0),
+                               [0.5, 2.5, 0.1], {"shape", "rate"}),
+    ("shifted_exp", "joint"): (cexp.ExpJointPrior(l0=0.5, n0=1.0, mu0=2.0, n0_rate=1.0),
+                               [1.0, 2.0, 0.8], {"l_n", "n_eff_onset", "shape", "rate"}),
+    ("power", "location"): (cpow.PowerPriorU(u0=2.0, n0=1.0, alpha=1.5),
+                            [0.5, 1.8, 2.6], {"u_n", "alpha", "n_eff"}),
+    ("power", "shape"): (cpow.PowerPriorAlpha(g0=0.5, n0=1.0, u=3.0),
+                         [0.5, 2.5, 0.2], {"shape", "rate"}),
+    ("power", "joint"): (cpow.PowerJointPrior(u0=0.9, n0=1.0, g0=0.5, n0_shape=1.0),
+                         [0.5, 0.2, 0.8], {"u_n", "n_eff_bound", "shape", "rate"}),
+    ("uniform", "width"): (cuni.UniformPriorW(w0=2.0, n0=1.0, l=0.0),
+                           [0.5, 1.8, 2.5], {"w_n", "l", "n_eff"}),
+    ("uniform", "lower"): (cuni.UniformPriorL(l0=1.0, u0=2.0, w=5.0),
+                           [1.5, 3.0, 4.0], {"low", "high", "width"}),
+    ("uniform", "joint"): (cuni.UniformJointPrior(w0=1.0, n0=1.0, l0=0.0, u0=1.0),
+                           [0.2, 2.5, 1.0], {"l_n", "u_n", "w0", "n_eff", "c_n", "c_n1"}),
+}
+
+
+class TestCellDocuments:
+    def test_every_cell_is_covered(self):
+        assert set(CELL_DOCUMENTS) == set(CELLS)
+
+    @pytest.mark.parametrize("cell", CELL_DOCUMENTS, ids="-".join)
+    def test_round_trip_and_strict_posterior_block(self, cell, tmp_path, capsys):
+        prior, data, keys = CELL_DOCUMENTS[cell]
+        fitted = fit(ModelSpec(*cell, prior=prior), suff_stats(data))
+        text = cli.render_document(fitted, seed=3)
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        assert cli.render_document(cli.load_document(str(path)), seed=3) == text
+        doc = json.loads(text)
+        assert set(doc["posterior"]) == keys
+        # one rule for every cell: a missing or an unknown key is malformed
+        for broken in ({k: v for k, v in doc["posterior"].items() if k != key}
+                       for key in keys):
+            path.write_text(json.dumps({**doc, "posterior": broken}))
+            with pytest.raises(DataError):
+                cli.load_document(str(path))
+            assert cli.main(["predict", "--state", str(path)]) == 3
+        path.write_text(json.dumps({**doc, "posterior": {**doc["posterior"],
+                                                         "extra": 1.0}}))
+        with pytest.raises(DataError, match="unknown keys"):
+            cli.load_document(str(path))
+
+
 class TestExitCodes:
     def test_missing_data_file(self, capsys):
         rc = cli.main(["fit", "--family", "pareto", "--case", "location",
@@ -211,6 +272,38 @@ class TestExitCodes:
                        "--data", str(path)])
         assert rc == 4
         assert "rescale" in capsys.readouterr().err
+
+    def test_uniform_joint_evidence_outside_bracket(self, tmp_path, capsys):
+        # n_eff = 1e5 with w0/w_n = 0.2: the evidence quadrature misses its
+        # bracket, so fit refuses instead of writing an unusable state
+        path = write_lines(tmp_path / "three.csv", [3.0, 5.0, 7.0])
+        out = tmp_path / "state.json"
+        rc = cli.main(["fit", "--family", "uniform", "--case", "joint",
+                       "--prior", "w0=0.8,n0=99997,l0=4,u0=6",
+                       "--data", path, "--out", str(out)])
+        assert rc == 4
+        assert "evidence" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit,code", [
+        ({"c_n": 0.0}, 4), ({"c_n1": 2.0}, 4), ({"n_eff": 0.0}, 3)],
+        ids=["c_n-underflowed", "c_n1-above-bracket", "n_eff-zero"])
+    def test_uniform_joint_state_with_bad_evidence(self, tmp_path, capsys,
+                                                   edit, code):
+        # a state file is outside input: an evidence constant that left its
+        # bracket (as a fit at n_eff = 1e6 once wrote c_n = 0.0) is refused
+        # on load instead of dividing by it
+        path = write_lines(tmp_path / "three.csv", [3.0, 5.0, 7.0])
+        state = tmp_path / "state.json"
+        assert cli.main(["fit", "--family", "uniform", "--case", "joint",
+                         "--prior", "w0=0.8,n0=2,l0=4,u0=6",
+                         "--data", path, "--out", str(state)]) == 0
+        doc = json.loads(state.read_text())
+        doc["posterior"].update(edit)
+        state.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["predict", "--state", str(state)]) == code
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_validate_rejection_still_exits_zero(self, tmp_path, laptop_state,
                                                  capsys):

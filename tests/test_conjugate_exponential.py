@@ -160,6 +160,14 @@ class TestRate:
         assert pred.cdf(0.0) == 0.0
         assert pred.support() == (0.0, math.inf)
 
+    def test_known_onset_is_the_exact_edge(self):
+        # onset + rate crosses 8192 and drops the rate's last bit, so the
+        # edge computed as (onset + rate) - rate misses the onset by 1e-12
+        for rate in (8191.3, 8191.987654321, 4094.926982283528):
+            pred = predictive_alpha(GammaPosterior(shape=50.0, rate=rate), l=1.5)
+            assert pred.support()[0] == 1.5
+            assert pred.cdf(1.5) == 0.0
+
     def test_predictive_matches_rate_mixture(self):
         post = GammaPosterior(shape=3.0, rate=6.0)
         pred = predictive_alpha(post, l=0.0)

@@ -16,7 +16,6 @@ from scipy import integrate, stats as sps
 
 from tailbayes.conjugate_uniform import (
     EvidenceResult,
-    FlatPredictive,
     UniformJointPrior,
     UniformPriorL,
     UniformPriorW,
@@ -35,6 +34,7 @@ from tailbayes.conjugate_uniform import (
 )
 from tailbayes.distributions import Pareto, Uniform
 from tailbayes.errors import (
+    ConvergenceError,
     DataError,
     DomainError,
     InvalidRegimeError,
@@ -236,7 +236,6 @@ class TestEvidence:
     def test_symmetric_reduction(self):
         res = evidence_C(3.0, 1.0, 1.0)
         assert res.value == pytest.approx(1.0 / 3.0, rel=EXACT_TOL)
-        assert res.beta_form is None
         assert "analytic reduction" in res.note
 
     def test_worked_value(self):
@@ -251,10 +250,14 @@ class TestEvidence:
         res = evidence_C(2.0, 0.5, 1.0)
         assert res.value == pytest.approx(expected, rel=1e-12)
 
-    def test_beta_form_is_sign_flipped(self):
-        res = evidence_C(2.0, 0.5, 1.0)
-        assert res.beta_form == pytest.approx(-1.0 * res.value, rel=1e-9)
-        assert "authoritative" in res.note
+    @pytest.mark.parametrize("n_eff", [1e5, 1e6])
+    def test_posterior_outside_evidence_bracket_raises(self, n_eff):
+        # w0/w_n = 0.2 and n_eff carried by the prior's pseudo-count: quad
+        # misses the mass near w = w_n (c_n = 2e-98 at 1e5, 0.0 at 1e6)
+        # where c_n must lie in [1/(N(N+1)), 1/N]
+        prior = UniformJointPrior(w0=0.8, n0=n_eff - 3.0, l0=4.0, u0=6.0)
+        with pytest.raises(ConvergenceError, match="outside its bound"):
+            posterior_joint(prior, suff_stats([3.0, 5.0, 7.0]))
 
     def test_scaling_in_the_range(self):
         # C(N) in raw units scales as w_n**-N times the scaled constant
@@ -468,53 +471,14 @@ class TestJointPredictive:
         assert isinstance(pred.sample(np.random.default_rng(11)), float)
 
     def test_symmetric_case_flat_level(self):
-        # w0 = w_n: levels of the numeric and flat reproductions agree
+        # w0 = w_n: the flat level reduces to N / ((N+1) * w_n)
         prior = UniformJointPrior(w0=6.0, n0=0.0, l0=1.0, u0=7.0)
         post = posterior_joint(prior, suff_stats([2.0, 5.0, 3.0]))
         numeric = predictive_joint(post)
-        flat = predictive_joint(post, mode="uniform")
         n = post.n_eff
         expected = n / ((n + 1.0) * post.w_n)
         assert numeric.flat_level == pytest.approx(expected, rel=EXACT_TOL)
-        assert flat.level == pytest.approx(expected, rel=EXACT_TOL)
         assert numeric.pdf(4.0) == pytest.approx(expected, rel=REDUCTION_TOL)
-
-    def test_unknown_mode_rejected(self):
-        post = posterior_joint(self.PRIOR, suff_stats(self.DATA))
-        with pytest.raises(DomainError):
-            predictive_joint(post, mode="paper")
-
-
-class TestFlatPredictive:
-    def test_carries_inconsistent_level(self):
-        flat = FlatPredictive(lower=0.0, upper=2.0, level=0.75)
-        assert flat.pdf(1.0) == 0.75
-        assert flat.normalization_defect() == pytest.approx(0.5, rel=EXACT_TOL)
-        # cdf and quantile treat the interval as a genuine uniform
-        assert flat.cdf(1.0) == 0.5
-        assert flat.quantile(0.5) == 1.0
-
-    def test_joint_mode_defect(self):
-        prior = UniformJointPrior(w0=6.0, n0=0.0, l0=1.0, u0=7.0)
-        post = posterior_joint(prior, suff_stats([2.0, 5.0, 3.0]))
-        flat = predictive_joint(post, mode="uniform")
-        assert flat.upper == post.u_n
-        assert flat.upper - flat.lower == pytest.approx(flat.level, rel=EXACT_TOL)
-        assert flat.normalization_defect() == pytest.approx(
-            flat.level**2 - 1.0, rel=1e-9
-        )
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            FlatPredictive(lower=1.0, upper=1.0, level=0.5)
-        with pytest.raises(DomainError):
-            FlatPredictive(lower=0.0, upper=1.0, level=0.0)
-
-    def test_sampling(self):
-        flat = FlatPredictive(lower=0.0, upper=2.0, level=0.75)
-        rng = np.random.default_rng(3)
-        draws = flat.sample(rng, 1000)
-        assert draws.min() >= 0.0 and draws.max() <= 2.0
 
 
 def test_unknown_case_rejected():

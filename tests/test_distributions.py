@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from tailbayes import (
-    GEVParams,
     GPParams,
     Gamma,
     LogPower,
@@ -213,16 +212,6 @@ def test_xi_zero_branch_continuity():
     xs = np.linspace(0.0, 20.0, 50)
     assert np.allclose(inner.pdf(xs), outer.pdf(xs), atol=1e-7)
     assert np.allclose(inner.cdf(xs), outer.cdf(xs), atol=1e-7)
-
-
-def test_gev_cdf_values():
-    assert GEVParams(0.0, 1.0, 0.0).cdf(0.0) == pytest.approx(
-        math.exp(-1.0), rel=1e-14)
-    assert GEVParams(0.0, 1.0, 1.0).cdf(0.0) == pytest.approx(
-        math.exp(-1.0), rel=1e-14)
-    assert GEVParams(0.0, 1.0, 0.5).cdf(1e9) == pytest.approx(1.0, abs=1e-8)
-    with pytest.raises(DomainError):
-        GEVParams(0.0, 1.0, 1.0).cdf(-2.0)
 
 
 # Mapping between the subclasses and generalized Pareto form.

@@ -1,76 +1,15 @@
-"""Series incomplete beta with b=0 and incomplete gamma of negative order."""
+"""Upper incomplete gamma of negative order."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import special
 
-from tailbayes.errors import ConvergenceError, DomainError
-from tailbayes.special_functions import (
-    SeriesAccuracy,
-    inc_beta_b0,
-    upper_inc_gamma_neg,
-)
+from tailbayes.errors import DomainError
+from tailbayes.special_functions import upper_inc_gamma_neg
 
-IDENTITY_TOL = 1e-10
-QUAD_REL_TOL = 1e-8
 RECURRENCE_REL_TOL = 1e-10
-
-
-def test_inc_beta_identity_a1():
-    # B(x; 1, 0) = -log(1 - x)
-    for x in np.linspace(0.01, 0.99, 25):
-        assert inc_beta_b0(float(x), 1.0) == pytest.approx(
-            -math.log1p(-x), abs=IDENTITY_TOL)
-
-
-def test_inc_beta_identity_a2():
-    # B(x; 2, 0) = -x - log(1 - x)
-    for x in np.linspace(0.01, 0.99, 25):
-        assert inc_beta_b0(float(x), 2.0) == pytest.approx(
-            -x - math.log1p(-x), abs=IDENTITY_TOL)
-
-
-def test_inc_beta_matches_quadrature():
-    rng = np.random.default_rng(41)
-    for _ in range(100):
-        x = rng.uniform(0.005, 0.99)
-        a = rng.uniform(0.1, 50.0)
-        direct, _ = integrate.quad(lambda t: t ** (a - 1.0) / (1.0 - t), 0.0, x,
-                                   epsabs=1e-14, epsrel=1e-12, limit=200)
-        assert inc_beta_b0(x, a) == pytest.approx(direct, rel=QUAD_REL_TOL)
-
-
-def test_inc_beta_monotone_in_x():
-    xs = np.linspace(0.05, 0.95, 40)
-    for a in (0.3, 1.0, 7.5):
-        vals = [inc_beta_b0(float(x), a) for x in xs]
-        assert all(b > a_ for a_, b in zip(vals, vals[1:]))
-
-
-def test_inc_beta_domain_errors():
-    with pytest.raises(DomainError):
-        inc_beta_b0(1.0, 2.0)
-    with pytest.raises(DomainError):
-        inc_beta_b0(1.5, 2.0)
-    with pytest.raises(DomainError):
-        inc_beta_b0(0.0, 2.0)
-    with pytest.raises(DomainError):
-        inc_beta_b0(-0.5, 2.0)
-    with pytest.raises(DomainError):
-        inc_beta_b0(0.5, 0.0)
-
-
-def test_inc_beta_refuses_near_one():
-    with pytest.raises(ConvergenceError):
-        inc_beta_b0(0.9995, 2.0)
-
-
-def test_inc_beta_term_budget():
-    # A tiny term budget must fail loudly, not return a truncated value.
-    with pytest.raises(ConvergenceError):
-        inc_beta_b0(0.9, 1.0, SeriesAccuracy(rel_tol=1e-12, max_terms=3))
 
 
 def _upper_gamma_any(order: float, y: float) -> float:
