@@ -2,8 +2,8 @@
 
 Model: data follow ShiftedExp(alpha, l), the exponential law started at
 l.  This is the log image of the Pareto model (if x is Pareto(alpha, l)
-then log x is ShiftedExp(alpha, log l)), and every update here mirrors the
-Pareto one through that link:
+then log x is ShiftedExp(alpha, log l)).  Its axis is x itself, so every
+update here is conjugate_kernel's with t(x) = x:
 
 * onset l with alpha known; LogPower prior and posterior over l,
 * rate alpha with l known; Gamma prior and posterior over alpha,
@@ -20,9 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .conjugate_pareto import GammaPosterior, extrapolation_factor
+from . import conjugate_kernel as kernel
+from .conjugate_kernel import GammaPosterior
 from .distributions import LogPower, ShiftedExp
-from .errors import DomainError, InvalidRegimeError, NoInformationError
+from .errors import DomainError, NoInformationError, require_finite
 from .predictives import ParetoShiftLink
 from .sufficient import SuffStats
 
@@ -51,8 +52,7 @@ class ExpPriorL:
     alpha: float
 
     def __post_init__(self):
-        if not math.isfinite(self.l0):
-            raise DomainError("prior onset l0 must be finite")
+        require_finite(vars(self))
         if self.n0 < 0:
             raise DomainError("pseudo-count n0 cannot be negative")
         if self.alpha <= 0:
@@ -72,6 +72,7 @@ class ExpPriorAlpha:
     l: float
 
     def __post_init__(self):
+        require_finite(vars(self))
         if self.n0 < 0:
             raise DomainError("pseudo-count n0 cannot be negative")
         if not self.mu0 > self.l:
@@ -88,8 +89,7 @@ class ExpJointPrior:
     n0_rate: float
 
     def __post_init__(self):
-        if not math.isfinite(self.l0):
-            raise DomainError("prior onset l0 must be finite")
+        require_finite(vars(self))
         if self.n0 < 0 or self.n0_rate < 0:
             raise DomainError("pseudo-counts cannot be negative")
         if self.n0_rate > 0 and self.mu0 <= 0:
@@ -143,75 +143,36 @@ class ExpJointPosterior:
 
 def posterior_l(prior: ExpPriorL, stats: SuffStats) -> OnsetPosterior:
     """Update the onset block: l_n = min(l0, data min), count n0 + n."""
-    if prior.n0 == 0 and stats.n == 0:
-        raise NoInformationError("flat prior and no data: nothing to update")
-    l_n = prior.l0 if stats.n == 0 else min(prior.l0, stats.min)
-    return OnsetPosterior(l_n=l_n, alpha=prior.alpha, n_eff=prior.n0 + stats.n)
+    return kernel.bound(_AXIS, prior.l0, prior.n0, prior.alpha, stats)
 
 
 def predictive_l(post: OnsetPosterior) -> ShiftedExp:
     """Predictive ShiftedExp(alpha, l_n + log(c)/alpha); log(c) < 0."""
-    if not post.is_proper:
-        raise NoInformationError("cannot predict from an improper posterior")
-    c = extrapolation_factor(post.n_eff)
+    c = kernel.discount(post, post.n_eff)
     return ShiftedExp(post.alpha, post.l_n + math.log(c) / post.alpha)
 
 
 def posterior_alpha(prior: ExpPriorAlpha, stats: SuffStats) -> GammaPosterior:
     """Update the rate block: shape n0 + n, rate (n+n0)*(mu_n - l)."""
-    if stats.n > 0 and stats.min < prior.l:
-        raise DomainError("datum below the known onset l")
-    shape = prior.n0 + stats.n
-    rate = prior.n0 * (prior.mu0 - prior.l) + (stats.sum - stats.n * prior.l)
-    if shape == 0:
-        raise NoInformationError("flat prior and no data: nothing to update")
-    if rate <= 0:
-        raise DomainError(
-            "degenerate update: every datum sits at the onset and the prior "
-            "carries no weight"
-        )
-    return GammaPosterior(shape=shape, rate=rate)
+    return kernel.exponent(_AXIS, prior.n0, prior.n0 * (prior.mu0 - prior.l),
+                           stats, prior.l)
 
 
 def predictive_alpha(post: GammaPosterior, l: float) -> ParetoShiftLink:
     """Predictive with x + rate - l Pareto-distributed; support x > l."""
-    if not post.is_proper:
-        raise NoInformationError("cannot predict from an improper posterior")
-    return ParetoShiftLink(shape=post.shape, scale=post.rate, offset=post.rate, anchor=l)
+    return kernel.link_predictive(_AXIS, post, l, kernel.discount(post))
 
 
 def posterior_joint(prior: ExpJointPrior, stats: SuffStats) -> ExpJointPosterior:
     """Update both blocks; the rate block pools means on the absolute scale."""
-    l_n = prior.l0 if stats.n == 0 else min(prior.l0, stats.min)
-    shape = prior.n0_rate + stats.n
-    rate = prior.n0_rate * prior.mu0 + stats.sum
-    if shape == 0:
-        raise NoInformationError("flat prior and no data: nothing to update")
-    if rate <= 0:
-        raise InvalidRegimeError(
-            "pooled mean mu_n is non-positive, so the rate posterior is "
-            "invalid; shift the data to a positive scale"
-        )
-    return ExpJointPosterior(
-        l_n=l_n,
-        n_eff_onset=prior.n0 + stats.n,
-        rate_posterior=GammaPosterior(shape=shape, rate=rate),
-    )
+    return kernel.joint(_AXIS, prior.l0, prior.n0, prior.n0_rate,
+                        prior.n0_rate * prior.mu0, stats)
 
 
 def predictive_joint(post: ExpJointPosterior) -> ParetoShiftLink:
     """Predictive with x + rate - l_n Pareto-distributed, scale discounted."""
-    if not post.is_proper:
-        raise NoInformationError("cannot predict from an improper posterior")
-    c = extrapolation_factor(post.n_eff_onset)
-    shape = post.rate_posterior.shape
-    rate = post.rate_posterior.rate
-    return ParetoShiftLink(
-        shape=shape,
-        scale=c ** (1.0 / shape) * rate,
-        offset=rate,
-        anchor=post.l_n,
-    )
+    c = kernel.discount(post, post.n_eff_onset)
+    return kernel.link_predictive(_AXIS, post.rate_posterior, post.l_n, c)
 
 
 def noninformative(case: str, stats: SuffStats, *, alpha: float | None = None,
@@ -223,24 +184,12 @@ def noninformative(case: str, stats: SuffStats, *, alpha: float | None = None,
     rate prior, posterior Gamma(n, sum(x) - n*l).  With no data the
     posterior stays improper and is returned flagged as such.
     """
-    if case == "location":
-        if alpha is None or alpha <= 0:
-            raise DomainError("case 'location' needs a positive known alpha")
-        if stats.n == 0:
-            return OnsetPosterior(l_n=math.inf, alpha=alpha, n_eff=0.0)
-        return OnsetPosterior(l_n=stats.min, alpha=alpha, n_eff=float(stats.n))
-    if case == "shape":
-        if l is None:
-            raise DomainError("case 'shape' needs the known onset l")
-        if stats.n == 0:
-            return GammaPosterior(shape=0.0, rate=0.0)
-        if stats.min < l:
-            raise DomainError("datum below the known onset l")
-        rate = stats.sum - stats.n * l
-        if rate <= 0:
-            raise DomainError(
-                "degenerate update: every datum sits at the onset and the "
-                "prior carries no weight"
-            )
-        return GammaPosterior(shape=float(stats.n), rate=rate)
-    raise DomainError(f"unknown case {case!r}; expected 'location' or 'shape'")
+    return kernel.noninformative(_AXIS, case, stats, alpha, l)
+
+
+_AXIS = kernel.Axis(
+    t=lambda b: b, sum_t=lambda stats: stats.sum, lower=True, positive=False,
+    link=ParetoShiftLink, location=OnsetPosterior, joint=ExpJointPosterior,
+    bound_case="location", bound_word="onset l",
+    regime="pooled mean mu_n is non-positive, so the rate posterior is "
+           "invalid; shift the data to a positive scale")

@@ -10,7 +10,7 @@ each with closed-form posterior and posterior predictive:
 Posterior predictive laws discount the fresh-record probability through
 the factor c = (n + n0) / (n + n0 + 1): the predictive support edge sits
 strictly below the posterior bound, acknowledging that a future draw can
-set a new record.
+set a new record.  Every update is conjugate_kernel's on the axis log x.
 """
 
 from __future__ import annotations
@@ -18,8 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import Gamma, Pareto, Power
-from .errors import DomainError, InvalidRegimeError, NoInformationError
+from . import conjugate_kernel as kernel
+from .conjugate_kernel import GammaPosterior, extrapolation_factor
+from .distributions import Pareto, Power
+from .errors import DomainError, NoInformationError, require_finite
 from .predictives import ParetoLogLink
 from .sufficient import SuffStats
 
@@ -41,13 +43,6 @@ __all__ = [
 ]
 
 
-def extrapolation_factor(n_eff: float) -> float:
-    """Record-discount factor c = n_eff / (n_eff + 1)."""
-    if n_eff <= 0:
-        raise NoInformationError("no effective observations to extrapolate from")
-    return n_eff / (n_eff + 1.0)
-
-
 @dataclass(frozen=True)
 class ParetoPriorL:
     """Power(l0, alpha*n0) prior over the lower bound; alpha known.
@@ -61,8 +56,9 @@ class ParetoPriorL:
     alpha: float
 
     def __post_init__(self):
-        if not (self.l0 > 0 and math.isfinite(self.l0)):
-            raise DomainError("prior bound l0 must be positive and finite")
+        require_finite(vars(self))
+        if self.l0 <= 0:
+            raise DomainError("prior bound l0 must be positive")
         if self.n0 < 0:
             raise DomainError("pseudo-count n0 cannot be negative")
         if self.alpha <= 0:
@@ -82,6 +78,7 @@ class ParetoPriorAlpha:
     l: float
 
     def __post_init__(self):
+        require_finite(vars(self))
         if self.g0 <= 1.0:
             raise DomainError("prior geometric mean g0 must exceed 1")
         if self.n0 < 0:
@@ -105,8 +102,9 @@ class ParetoJointPrior:
     n0_shape: float
 
     def __post_init__(self):
-        if not (self.l0 > 0 and math.isfinite(self.l0)):
-            raise DomainError("prior bound l0 must be positive and finite")
+        require_finite(vars(self))
+        if self.l0 <= 0:
+            raise DomainError("prior bound l0 must be positive")
         if self.n0 < 0 or self.n0_shape < 0:
             raise DomainError("pseudo-counts cannot be negative")
         if self.g0 <= 1.0:
@@ -136,32 +134,6 @@ class LowerBoundPosterior:
 
 
 @dataclass(frozen=True)
-class GammaPosterior:
-    """Gamma(shape, rate) posterior over a positive rate-like parameter."""
-
-    shape: float
-    rate: float
-
-    def __post_init__(self):
-        if self.shape < 0 or self.rate < 0:
-            raise DomainError("Gamma posterior parameters cannot be negative")
-
-    @property
-    def is_proper(self) -> bool:
-        return self.shape > 0 and self.rate > 0
-
-    def distribution(self) -> Gamma:
-        if not self.is_proper:
-            raise NoInformationError("posterior over the exponent is improper")
-        return Gamma(self.shape, self.rate)
-
-    def mean(self) -> float:
-        if not self.is_proper:
-            raise NoInformationError("posterior over the exponent is improper")
-        return self.shape / self.rate
-
-
-@dataclass(frozen=True)
 class ParetoJointPosterior:
     """Joint posterior: Power conditional over l, Gamma marginal over alpha."""
 
@@ -188,76 +160,30 @@ class ParetoJointPosterior:
 
 def posterior_l(prior: ParetoPriorL, stats: SuffStats) -> LowerBoundPosterior:
     """Update the lower-bound block: l_n = min(l0, data min), count n0 + n."""
-    if stats.n > 0 and stats.min <= 0:
-        raise DomainError("Pareto data must be strictly positive")
-    if prior.n0 == 0 and stats.n == 0:
-        raise NoInformationError("flat prior and no data: nothing to update")
-    l_n = prior.l0 if stats.n == 0 else min(prior.l0, stats.min)
-    return LowerBoundPosterior(l_n=l_n, alpha=prior.alpha, n_eff=prior.n0 + stats.n)
+    return kernel.bound(_AXIS, prior.l0, prior.n0, prior.alpha, stats)
 
 
 def predictive_l(post: LowerBoundPosterior) -> Pareto:
     """Predictive Pareto(alpha, c**(1/alpha) * l_n); edge strictly below l_n."""
-    if not post.is_proper:
-        raise NoInformationError("cannot predict from an improper posterior")
-    c = extrapolation_factor(post.n_eff)
+    c = kernel.discount(post, post.n_eff)
     return Pareto(post.alpha, c ** (1.0 / post.alpha) * post.l_n)
-
-
-def _relative_log_mean_sum(stats: SuffStats, bound: float, above: bool) -> float:
-    """Sum of log(x_i/bound) (above) or log(bound/x_i) (below)."""
-    s = stats.require_sum_log() - stats.n * math.log(bound)
-    return s if above else -s
 
 
 def posterior_alpha(prior: ParetoPriorAlpha, stats: SuffStats) -> GammaPosterior:
     """Update the exponent block: shape n0 + n, rate n0*log g0 + sum log(x/l)."""
-    if stats.n > 0 and stats.min < prior.l:
-        raise DomainError("datum below the known bound l")
-    shape = prior.n0 + stats.n
-    rate = prior.n0 * math.log(prior.g0)
-    if stats.n > 0:
-        rate += _relative_log_mean_sum(stats, prior.l, above=True)
-    if shape == 0:
-        raise NoInformationError("flat prior and no data: nothing to update")
-    if rate <= 0:
-        raise DomainError(
-            "degenerate update: every datum sits at the bound and the prior "
-            "carries no weight"
-        )
-    return GammaPosterior(shape=shape, rate=rate)
+    return kernel.exponent(_AXIS, prior.n0, prior.n0 * math.log(prior.g0),
+                           stats, prior.l)
 
 
 def predictive_alpha(post: GammaPosterior, l: float) -> ParetoLogLink:
     """Predictive with log(x/l) + rate Pareto-distributed; support x > l."""
-    if l <= 0:
-        raise DomainError("known bound l must be positive")
-    if not post.is_proper:
-        raise NoInformationError("cannot predict from an improper posterior")
-    return ParetoLogLink(shape=post.shape, scale=post.rate, offset=post.rate, anchor=l)
+    return kernel.link_predictive(_AXIS, post, l, kernel.discount(post))
 
 
 def posterior_joint(prior: ParetoJointPrior, stats: SuffStats) -> ParetoJointPosterior:
     """Update both blocks; the exponent rate uses the absolute geometric mean."""
-    if stats.n > 0 and stats.min <= 0:
-        raise DomainError("Pareto data must be strictly positive")
-    l_n = prior.l0 if stats.n == 0 else min(prior.l0, stats.min)
-    shape = prior.n0_shape + stats.n
-    rate = prior.n0_shape * math.log(prior.g0)
-    if stats.n > 0:
-        rate += stats.require_sum_log()
-    if shape == 0:
-        raise NoInformationError("flat prior and no data: nothing to update")
-    if rate <= 0:
-        raise InvalidRegimeError(
-            "pooled geometric mean g_n is at or below 1, so the exponent "
-            "posterior rate is non-positive; rescale the data to sit above 1"
-        )
-    return ParetoJointPosterior(
-        l_n=l_n,
-        n_eff_bound=prior.n0 + stats.n,
-        shape_posterior=GammaPosterior(shape=shape, rate=rate),
-    )
+    return kernel.joint(_AXIS, prior.l0, prior.n0, prior.n0_shape,
+                        prior.n0_shape * math.log(prior.g0), stats)
 
 
 def predictive_joint(post: ParetoJointPosterior) -> ParetoLogLink:
@@ -266,17 +192,8 @@ def predictive_joint(post: ParetoJointPosterior) -> ParetoLogLink:
     The Pareto scale is c**(1/shape) * rate with c the record-discount of
     the bound block, so the support edge sits strictly below l_n.
     """
-    if not post.is_proper:
-        raise NoInformationError("cannot predict from an improper posterior")
-    c = extrapolation_factor(post.n_eff_bound)
-    shape = post.shape_posterior.shape
-    rate = post.shape_posterior.rate
-    return ParetoLogLink(
-        shape=shape,
-        scale=c ** (1.0 / shape) * rate,
-        offset=rate,
-        anchor=post.l_n,
-    )
+    c = kernel.discount(post, post.n_eff_bound)
+    return kernel.link_predictive(_AXIS, post.shape_posterior, post.l_n, c)
 
 
 def noninformative(case: str, stats: SuffStats, *, alpha: float | None = None,
@@ -289,27 +206,12 @@ def noninformative(case: str, stats: SuffStats, *, alpha: float | None = None,
     Gamma(n, sum log(x/l)).  With no data the posterior stays improper and
     is returned flagged as such.
     """
-    if case == "location":
-        if alpha is None or alpha <= 0:
-            raise DomainError("case 'location' needs a positive known alpha")
-        n_eff = stats.n + 1.0 / alpha
-        if stats.n == 0:
-            return LowerBoundPosterior(l_n=math.inf, alpha=alpha, n_eff=n_eff)
-        if stats.min <= 0:
-            raise DomainError("Pareto data must be strictly positive")
-        return LowerBoundPosterior(l_n=stats.min, alpha=alpha, n_eff=n_eff)
-    if case == "shape":
-        if l is None or l <= 0:
-            raise DomainError("case 'shape' needs a positive known bound l")
-        if stats.n == 0:
-            return GammaPosterior(shape=0.0, rate=0.0)
-        if stats.min < l:
-            raise DomainError("datum below the known bound l")
-        rate = _relative_log_mean_sum(stats, l, above=True)
-        if rate <= 0:
-            raise DomainError(
-                "degenerate update: every datum sits at the bound and the "
-                "prior carries no weight"
-            )
-        return GammaPosterior(shape=float(stats.n), rate=rate)
-    raise DomainError(f"unknown case {case!r}; expected 'location' or 'shape'")
+    return kernel.noninformative(_AXIS, case, stats, alpha, l)
+
+
+_AXIS = kernel.Axis(
+    t=math.log, sum_t=SuffStats.require_sum_log, lower=True, positive=True,
+    link=ParetoLogLink, location=LowerBoundPosterior, joint=ParetoJointPosterior,
+    bound_case="location", bound_word="bound l", flat_residual=True,
+    regime="pooled geometric mean g_n is at or below 1, so the exponent "
+           "posterior rate is non-positive; rescale the data to sit above 1")

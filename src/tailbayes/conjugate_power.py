@@ -2,7 +2,8 @@
 
 Model: data follow Power(u, alpha), density alpha*x^(alpha-1)/u^alpha on
 (0, u].  This family is dual to the Pareto one under x -> 1/x, so it is the
-natural carrier for upper bound estimation:
+natural carrier for upper bound estimation.  Every update is
+conjugate_kernel's on the axis -log x, where the bound is a lower onset:
 
 * upper bound u with alpha known; Pareto prior and posterior over u,
 * shape alpha with u known; Gamma prior and posterior over alpha,
@@ -20,9 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .conjugate_pareto import GammaPosterior, extrapolation_factor
+from . import conjugate_kernel as kernel
+from .conjugate_kernel import GammaPosterior
 from .distributions import Pareto, Power
-from .errors import DomainError, InvalidRegimeError, NoInformationError
+from .errors import DomainError, NoInformationError, require_finite
 from .predictives import ParetoNegLogLink
 from .special_functions import upper_inc_gamma_neg
 from .sufficient import SuffStats
@@ -53,8 +55,9 @@ class PowerPriorU:
     alpha: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.u0) and self.u0 > 0):
-            raise DomainError("prior bound u0 must be finite and positive")
+        require_finite(vars(self))
+        if self.u0 <= 0:
+            raise DomainError("prior bound u0 must be positive")
         if self.n0 < 0:
             raise DomainError("pseudo-count n0 cannot be negative")
         if self.alpha <= 0:
@@ -73,6 +76,7 @@ class PowerPriorAlpha:
     u: float
 
     def __post_init__(self):
+        require_finite(vars(self))
         if self.n0 < 0:
             raise DomainError("pseudo-count n0 cannot be negative")
         if not 0.0 < self.g0 < 1.0:
@@ -94,8 +98,9 @@ class PowerJointPrior:
     n0_shape: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.u0) and self.u0 > 0):
-            raise DomainError("prior bound u0 must be finite and positive")
+        require_finite(vars(self))
+        if self.u0 <= 0:
+            raise DomainError("prior bound u0 must be positive")
         if self.n0 < 0 or self.n0_shape < 0:
             raise DomainError("pseudo-counts cannot be negative")
         if self.n0_shape > 0 and not 0.0 < self.g0 < 1.0:
@@ -144,78 +149,32 @@ class PowerJointPosterior:
         return Pareto(alpha * self.n_eff_bound, self.u_n)
 
 
-def _require_positive_data(stats: SuffStats) -> None:
-    if stats.n > 0 and stats.min <= 0:
-        raise DomainError("power-law data must be strictly positive")
-
-
 def posterior_u(prior: PowerPriorU, stats: SuffStats) -> UpperBoundPosterior:
     """Update the bound block: u_n = max(u0, data max), count n0 + n."""
-    _require_positive_data(stats)
-    if prior.n0 == 0 and stats.n == 0:
-        raise NoInformationError("flat prior and no data: nothing to update")
-    u_n = prior.u0 if stats.n == 0 else max(prior.u0, stats.max)
-    return UpperBoundPosterior(u_n=u_n, alpha=prior.alpha, n_eff=prior.n0 + stats.n)
+    return kernel.bound(_AXIS, prior.u0, prior.n0, prior.alpha, stats)
 
 
 def predictive_u(post: UpperBoundPosterior) -> Power:
     """Predictive Power(c**(-1/alpha) * u_n, alpha); bound pushed outward."""
-    if not post.is_proper:
-        raise NoInformationError("cannot predict from an improper posterior")
-    c = extrapolation_factor(post.n_eff)
+    c = kernel.discount(post, post.n_eff)
     return Power(c ** (-1.0 / post.alpha) * post.u_n, post.alpha)
 
 
 def posterior_alpha(prior: PowerPriorAlpha, stats: SuffStats) -> GammaPosterior:
     """Update the shape block: shape n0 + n, rate -(n0+n)*log(pooled geo mean)."""
-    _require_positive_data(stats)
-    if stats.n > 0 and stats.max > prior.u:
-        raise DomainError("datum above the known bound u")
-    shape = prior.n0 + stats.n
-    rate = -prior.n0 * math.log(prior.g0)
-    if stats.n > 0:
-        rate += stats.n * math.log(prior.u) - stats.require_sum_log()
-    if shape == 0:
-        raise NoInformationError("flat prior and no data: nothing to update")
-    if rate <= 0:
-        raise DomainError(
-            "degenerate update: every datum sits at the bound and the prior "
-            "carries no weight"
-        )
-    return GammaPosterior(shape=shape, rate=rate)
+    return kernel.exponent(_AXIS, prior.n0, -prior.n0 * math.log(prior.g0),
+                           stats, prior.u)
 
 
 def predictive_alpha(post: GammaPosterior, u: float) -> ParetoNegLogLink:
     """Predictive with log(u/x) + rate Pareto-distributed; support (0, u]."""
-    if not post.is_proper:
-        raise NoInformationError("cannot predict from an improper posterior")
-    if u <= 0:
-        raise DomainError("known bound u must be positive")
-    return ParetoNegLogLink(shape=post.shape, scale=post.rate, offset=post.rate,
-                            anchor=u)
+    return kernel.link_predictive(_AXIS, post, u, kernel.discount(post))
 
 
 def posterior_joint(prior: PowerJointPrior, stats: SuffStats) -> PowerJointPosterior:
     """Update both blocks; the shape block pools log data on the absolute scale."""
-    _require_positive_data(stats)
-    u_n = prior.u0 if stats.n == 0 else max(prior.u0, stats.max)
-    shape = prior.n0_shape + stats.n
-    rate = -prior.n0_shape * math.log(prior.g0)
-    if stats.n > 0:
-        rate -= stats.require_sum_log()
-    if shape == 0:
-        raise NoInformationError("flat prior and no data: nothing to update")
-    if rate <= 0:
-        raise InvalidRegimeError(
-            "pooled geometric mean is at or above 1 on the absolute scale, "
-            "so the shape posterior is invalid; divide the data by a scale "
-            "that brings them below 1 and refit"
-        )
-    return PowerJointPosterior(
-        u_n=u_n,
-        n_eff_bound=prior.n0 + stats.n,
-        shape_posterior=GammaPosterior(shape=shape, rate=rate),
-    )
+    return kernel.joint(_AXIS, prior.u0, prior.n0, prior.n0_shape,
+                        -prior.n0_shape * math.log(prior.g0), stats)
 
 
 def predictive_joint(post: PowerJointPosterior) -> ParetoNegLogLink:
@@ -224,17 +183,8 @@ def predictive_joint(post: PowerJointPosterior) -> ParetoNegLogLink:
     The discounted scale c**(1/A)*B < B pushes the support edge above u_n:
     the next observation is allowed to set a new record.
     """
-    if not post.is_proper:
-        raise NoInformationError("cannot predict from an improper posterior")
-    c = extrapolation_factor(post.n_eff_bound)
-    shape = post.shape_posterior.shape
-    rate = post.shape_posterior.rate
-    return ParetoNegLogLink(
-        shape=shape,
-        scale=c ** (1.0 / shape) * rate,
-        offset=rate,
-        anchor=post.u_n,
-    )
+    c = kernel.discount(post, post.n_eff_bound)
+    return kernel.link_predictive(_AXIS, post.shape_posterior, post.u_n, c)
 
 
 def expected_value_joint(pred: ParetoNegLogLink) -> float:
@@ -258,27 +208,14 @@ def noninformative(case: str, stats: SuffStats, *, alpha: float | None = None,
     With no data the posterior stays improper and is returned flagged as
     such (u_n = 0 marks the flat bound limit).
     """
-    if case == "bound":
-        if alpha is None or alpha <= 0:
-            raise DomainError("case 'bound' needs a positive known alpha")
-        _require_positive_data(stats)
-        if stats.n == 0:
-            return UpperBoundPosterior(u_n=0.0, alpha=alpha, n_eff=0.0)
-        return UpperBoundPosterior(u_n=stats.max, alpha=alpha, n_eff=float(stats.n))
-    if case == "shape":
-        if u is None or u <= 0:
-            raise DomainError("case 'shape' needs a positive known bound u")
-        if stats.n == 0:
-            return GammaPosterior(shape=0.0, rate=0.0)
-        _require_positive_data(stats)
-        if stats.max > u:
-            raise DomainError("datum above the known bound u")
-        rate = stats.n * math.log(u) - stats.require_sum_log()
-        if rate <= 0:
-            raise DomainError(
-                "degenerate update: every datum sits at the bound and the "
-                "prior carries no weight"
-            )
-        return GammaPosterior(shape=float(stats.n), rate=rate)
-    raise DomainError(f"unknown case {case!r}; expected 'bound' or 'shape'")
+    return kernel.noninformative(_AXIS, case, stats, alpha, u)
 
+
+_AXIS = kernel.Axis(
+    t=lambda b: -math.log(b), sum_t=lambda stats: -stats.require_sum_log(),
+    lower=False, positive=True, link=ParetoNegLogLink,
+    location=UpperBoundPosterior, joint=PowerJointPosterior,
+    bound_case="bound", bound_word="bound u",
+    regime="pooled geometric mean is at or above 1 on the absolute scale, "
+           "so the shape posterior is invalid; divide the data by a scale "
+           "that brings them below 1 and refit")

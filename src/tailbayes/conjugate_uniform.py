@@ -46,6 +46,7 @@ from .errors import (
     DomainError,
     InvalidRegimeError,
     NoInformationError,
+    require_finite,
 )
 from .predictives import Trapezoid
 from .sufficient import SuffStats
@@ -153,6 +154,31 @@ def _tail_square(order: float, knee: float, pole: float) -> float:
     return _tail_square_quad(order, knee, pole)
 
 
+def _scaled_evidence(order: float, w0: float, w_n: float) -> float:
+    """C(order) in units of w_n: 1/order at w0 = w_n, quadrature below.
+
+    w0 > w_n puts the pole of (w-w_n)/(w-w0) inside the support, where the
+    width marginal is not integrable.
+    """
+    if w0 > w_n:
+        raise InvalidRegimeError(
+            "prior width offset w0 exceeds the pooled range w_n: the width "
+            "marginal has a non-integrable pole and no posterior exists"
+        )
+    rho = w0 / w_n
+    return 1.0 / order if rho == 1.0 else _tail_linear_quad(order, 1.0, rho)
+
+
+def _check_evidence(name: str, order: float, value: float) -> None:
+    """Hold C(order) in units of w_n to its bracket [1/(k*(k+1)), 1/k]
+    (derived at UniformJointPosterior); ConvergenceError outside it."""
+    lo, hi = 1.0 / (order * (order + 1.0)), 1.0 / order
+    if not lo * (1.0 - 1e-9) <= value <= hi * (1.0 + 1e-9):
+        raise ConvergenceError(
+            f"evidence {name} at order {order!r} is {value!r}, outside its "
+            f"bound [{lo!r}, {hi!r}]; the posterior is not evaluable here")
+
+
 @dataclass(frozen=True)
 class UniformPriorW:
     """Pareto(n0, w0) prior over the width; lower bound l known."""
@@ -162,12 +188,11 @@ class UniformPriorW:
     l: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.w0) and self.w0 > 0):
-            raise DomainError("prior width w0 must be finite and positive")
+        require_finite(vars(self))
+        if self.w0 <= 0:
+            raise DomainError("prior width w0 must be positive")
         if self.n0 < 0:
             raise DomainError("pseudo-count n0 cannot be negative")
-        if not math.isfinite(self.l):
-            raise DomainError("known lower bound l must be finite")
 
 
 @dataclass(frozen=True)
@@ -183,8 +208,9 @@ class UniformPriorL:
     w: float
 
     def __post_init__(self):
-        if self.w <= 0 or not math.isfinite(self.w):
-            raise DomainError("known width w must be finite and positive")
+        require_finite(vars(self))
+        if self.w <= 0:
+            raise DomainError("known width w must be positive")
         if not self.u0 - self.w < self.l0:
             raise DomainError("prior interval for the lower bound is empty")
 
@@ -203,12 +229,11 @@ class UniformJointPrior:
     u0: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.w0) and self.w0 > 0):
-            raise DomainError("prior width w0 must be finite and positive")
+        require_finite(vars(self))
+        if self.w0 <= 0:
+            raise DomainError("prior width w0 must be positive")
         if self.n0 < 0:
             raise DomainError("pseudo-count n0 cannot be negative")
-        if not (math.isfinite(self.l0) and math.isfinite(self.u0)):
-            raise DomainError("location block guesses l0, u0 must be finite")
 
 
 @dataclass(frozen=True)
@@ -290,14 +315,8 @@ class UniformJointPosterior:
     def __post_init__(self):
         if not (self.n_eff > 0 and self.u_n > self.l_n):
             raise DomainError("joint posterior needs n_eff > 0 and u_n > l_n")
-        for name, order in (("c_n", self.n_eff), ("c_n1", self.n_eff + 1.0)):
-            value = getattr(self, name)
-            lo, hi = 1.0 / (order * (order + 1.0)), 1.0 / order
-            if not lo * (1.0 - 1e-9) <= value <= hi * (1.0 + 1e-9):
-                raise ConvergenceError(
-                    f"evidence {name} at n_eff = {self.n_eff!r} is {value!r}, "
-                    f"outside its bound [{lo!r}, {hi!r}]; the posterior is "
-                    "not evaluable here")
+        _check_evidence("c_n", self.n_eff, self.c_n)
+        _check_evidence("c_n1", self.n_eff + 1.0, self.c_n1)
 
     @property
     def w_n(self) -> float:
@@ -307,11 +326,6 @@ class UniformJointPosterior:
     def evidence_value(self) -> float:
         """Raw C(N); may underflow to 0 for large n_eff * log(w_n)."""
         return self.w_n ** (-self.n_eff) * self.c_n
-
-    @property
-    def evidence_next(self) -> float:
-        """Raw C(N+1); same caveat as evidence_value."""
-        return self.w_n ** (-(self.n_eff + 1.0)) * self.c_n1
 
     def width_pdf(self, w):
         """Density of the width marginal at w (zero at or below w_n)."""
@@ -541,26 +555,22 @@ def predictive_location(post: LocationPosterior) -> Trapezoid:
 
 
 def evidence_C(n_eff: float, w0: float, w_n: float) -> EvidenceResult:
-    """Normalizer C(N) of the joint width marginal, by quadrature.
+    """Normalizer C(N) of the joint width marginal.
 
-    Reduces analytically to w_n**-N / N when w0 = w_n.  Refuses w0 > w_n:
-    the integrand then has a non-integrable pole at w = w0 inside the
-    support.
+    Computed in units of w_n, where it reduces analytically to 1/N when
+    w0 = w_n, and held to its bracket [1/(N(N+1)), 1/N] there
+    (ConvergenceError outside it).  Refuses w0 > w_n: the integrand then
+    has a non-integrable pole at w = w0 inside the support.
     """
     if n_eff <= 0:
         raise DomainError("evidence needs a positive effective count")
     if w0 <= 0 or w_n <= 0:
         raise DomainError("evidence needs positive widths w0, w_n")
-    if w0 > w_n:
-        raise InvalidRegimeError(
-            "prior width offset w0 exceeds the pooled range w_n: the width "
-            "marginal has a non-integrable pole and no posterior exists"
-        )
-    if w0 == w_n:
-        return EvidenceResult(value=w_n ** (-n_eff) / n_eff,
-                              note="analytic reduction at w0 = w_n")
-    return EvidenceResult(value=_tail_linear_quad(n_eff, w_n, w0),
-                          note="adaptive quadrature")
+    scaled = _scaled_evidence(n_eff, w0, w_n)
+    _check_evidence("C(N)", n_eff, scaled)
+    note = ("analytic reduction at w0 = w_n" if w0 == w_n
+            else "adaptive quadrature")
+    return EvidenceResult(value=w_n ** (-n_eff) * scaled, note=note)
 
 
 def posterior_joint(prior: UniformJointPrior, stats: SuffStats) -> UniformJointPosterior:
@@ -581,21 +591,11 @@ def posterior_joint(prior: UniformJointPrior, stats: SuffStats) -> UniformJointP
             "pooled range is zero: a single point carries no width "
             "information; widen the location block or add data"
         )
-    if prior.w0 > w_n:
-        raise InvalidRegimeError(
-            "prior width offset w0 exceeds the pooled range w_n: the width "
-            "marginal has a non-integrable pole and no posterior exists"
-        )
     n_eff = prior.n0 + stats.n
-    rho = prior.w0 / w_n
-    if rho == 1.0:
-        c_n = 1.0 / n_eff
-        c_n1 = 1.0 / (n_eff + 1.0)
-    else:
-        c_n = _tail_linear_quad(n_eff, 1.0, rho)
-        c_n1 = _tail_linear_quad(n_eff + 1.0, 1.0, rho)
-    return UniformJointPosterior(l_n=l_n, u_n=u_n, w0=prior.w0,
-                                 n_eff=n_eff, c_n=c_n, c_n1=c_n1)
+    return UniformJointPosterior(
+        l_n=l_n, u_n=u_n, w0=prior.w0, n_eff=n_eff,
+        c_n=_scaled_evidence(n_eff, prior.w0, w_n),
+        c_n1=_scaled_evidence(n_eff + 1.0, prior.w0, w_n))
 
 
 def predictive_joint(post: UniformJointPosterior) -> UniformJointPredictive:

@@ -2,8 +2,11 @@
 
 The CLI maps these onto exit codes: usage problems exit 2, data and domain
 problems exit 3, numeric-regime problems (a closed form asked to operate
-where it breaks down) exit 4.
+where it breaks down) exit 4.  require_finite is the one finiteness check
+that every prior and every non-informative known value goes through.
 """
+
+import math
 
 __all__ = [
     "TailBayesError",
@@ -15,6 +18,7 @@ __all__ = [
     "ConvergenceError",
     "CoverageError",
     "UnsupportedMappingError",
+    "require_finite",
 ]
 
 
@@ -52,3 +56,11 @@ class CoverageError(TailBayesError):
 
 class UnsupportedMappingError(TailBayesError):
     """Asked to map a distribution with no generalized-Pareto form."""
+
+
+def require_finite(values) -> None:
+    """Raise DomainError unless every value of the name -> number mapping
+    is finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")

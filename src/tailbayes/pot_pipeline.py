@@ -19,7 +19,7 @@ from . import conjugate_exponential as cexp
 from . import conjugate_pareto as cpar
 from . import conjugate_power as cpow
 from . import conjugate_uniform as cuni
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, require_finite
 from .sufficient import SuffStats, merge, suff_stats
 
 __all__ = [
@@ -216,6 +216,7 @@ def fit(spec: ModelSpec, stats: SuffStats) -> FittedModel:
             raise UsageError(f"{name} non-informative fit needs known "
                              f"parameter(s) {missing}")
         known = {k: float(spec.known[k]) for k in cell.known}
+        require_finite(known)
         post = cell.noninformative(stats, known)
     else:
         if not isinstance(spec.prior, cell.prior):

@@ -14,10 +14,10 @@ Link classes are parameterized by the latent Pareto ``shape`` and
 * ``ParetoShiftLink``:  x - anchor + offset       ~ Pareto(shape, scale)
 * ``ParetoNegLogLink``: log(anchor / x) + offset  ~ Pareto(shape, scale)
 
-With scale == offset the support edge sits exactly at ``anchor``; the
-extrapolation-discounted predictives use scale < offset (lower-bound
-links) or keep scale < offset symmetric for the upper-bound link, pushing
-the support edge strictly past the posterior bound.
+With scale == offset the support edge sits exactly at ``anchor``.  All
+three record-discounted predictives use scale < offset, which moves the
+edge past the posterior bound: below it for the log and shift links,
+above it for the negated-log link.
 """
 
 from __future__ import annotations

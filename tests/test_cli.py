@@ -5,6 +5,7 @@ stderr can be captured exactly; one smoke test goes through the installed
 console script.
 """
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -17,7 +18,7 @@ from tailbayes import conjugate_exponential as cexp
 from tailbayes import conjugate_pareto as cpar
 from tailbayes import conjugate_power as cpow
 from tailbayes import conjugate_uniform as cuni
-from tailbayes.errors import DataError, UsageError
+from tailbayes.errors import DataError, DomainError, UsageError
 from tailbayes.pot_pipeline import CELLS, ModelSpec, fit, suff_stats
 
 EXACT_TOL = 1e-12
@@ -203,6 +204,49 @@ class TestCellDocuments:
                                                          "extra": 1.0}}))
         with pytest.raises(DataError, match="unknown keys"):
             cli.load_document(str(path))
+
+
+class TestNonFiniteValues:
+    """Every prior field and every non-informative known value must be
+    finite; an infinite or NaN one is a domain error (exit 3) at the
+    place it enters, not a NaN posterior that surfaces later."""
+
+    @pytest.mark.parametrize("cell", CELL_DOCUMENTS, ids="-".join)
+    def test_every_prior_field(self, cell):
+        prior = CELL_DOCUMENTS[cell][0]
+        for name in vars(prior):
+            for bad in (math.inf, -math.inf, math.nan):
+                with pytest.raises(DomainError, match=name):
+                    dataclasses.replace(prior, **{name: bad})
+
+    @pytest.mark.parametrize("cell", [c for c in CELLS if CELLS[c].known
+                                      and CELLS[c].noninformative], ids="-".join)
+    def test_every_noninformative_known_value(self, cell):
+        for bad in (math.inf, -math.inf, math.nan):
+            spec = ModelSpec(*cell, noninformative=True,
+                             known={CELLS[cell].known[0]: bad})
+            with pytest.raises(DomainError):
+                fit(spec, suff_stats([0.5, 1.0]))
+
+    @pytest.mark.parametrize("flags", [
+        ["--family", "shifted_exp", "--case", "shape", "--prior", "mu0=inf,n0=1",
+         "--known", "l=1"],
+        ["--family", "pareto", "--case", "location", "--noninformative",
+         "--known", "alpha=inf"],
+        ["--family", "pareto", "--case", "shape", "--prior", "g0=nan,n0=1,l=1"],
+    ], ids=["prior-mu0-inf", "known-alpha-inf", "prior-g0-nan"])
+    def test_fit_exits_3(self, tmp_path, capsys, flags):
+        path = write_lines(tmp_path / "d.csv", [1.5, 2.0, 3.0])
+        out = tmp_path / "state.json"
+        assert cli.main(["fit", *flags, "--data", path, "--out", str(out)]) == 3
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_state_file_prior_exits_3(self, laptop_state, capsys):
+        doc = json.loads(laptop_state.read_text())
+        doc["model_spec"]["prior"]["n0"] = math.inf
+        laptop_state.write_text(json.dumps(doc))
+        assert cli.main(["predict", "--state", str(laptop_state)]) == 3
 
 
 class TestExitCodes:

@@ -265,6 +265,13 @@ class TestEvidence:
         b = evidence_C(2.0, 1.5, 3.0)
         assert b.value == pytest.approx(a.value / 9.0, rel=1e-9)
 
+    @pytest.mark.parametrize("n_eff", [1.5e4, 1e5, 1e6])
+    def test_outside_bracket_raises(self, n_eff):
+        # the same w_n-scaled constant and bracket as posterior_joint: at
+        # w0/w_n = 0.2 quadrature returns 1.8e-19, 2e-98 and 0.0 here
+        with pytest.raises(ConvergenceError, match="outside its bound"):
+            evidence_C(n_eff, 0.2, 1.0)
+
     def test_pole_inside_support_rejected(self):
         with pytest.raises(InvalidRegimeError):
             evidence_C(2.0, 1.5, 1.0)
