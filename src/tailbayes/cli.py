@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-import typing
 
 import numpy as np
 
@@ -155,24 +154,6 @@ def _posterior_block(post) -> dict:
     return block
 
 
-def _posterior_from_block(cls, block: dict):
-    """Rebuild a posterior of class cls from its block; a missing or an
-    unknown key is a malformed state file."""
-    kwargs, used = {}, set()
-    for name, kind in typing.get_type_hints(cls).items():
-        if dataclasses.is_dataclass(kind):
-            values = {f.name: block[f.name] for f in dataclasses.fields(kind)}
-            kwargs[name] = kind(**values)
-            used.update(values)
-        else:
-            kwargs[name] = block[name]
-            used.add(name)
-    extra = sorted(set(block) - used)
-    if extra:
-        raise DataError(f"state file posterior block has unknown keys {extra}")
-    return cls(**kwargs)
-
-
 def render_document(fitted: FittedModel, seed: int | None = None) -> str:
     spec = fitted.spec
     prior_block = None
@@ -200,6 +181,10 @@ def render_document(fitted: FittedModel, seed: int | None = None) -> str:
 
 
 def load_document(path: str) -> FittedModel:
+    """Read a state document back by refitting its model spec on its
+    sufficient statistics, which hold the whole conjugate fit; the
+    posterior and top-level known blocks are a record of the fit that
+    nothing reads."""
     if not os.path.exists(path):
         raise DataError(f"state file not found: {path}")
     with open(path) as handle:
@@ -218,17 +203,15 @@ def load_document(path: str) -> FittedModel:
             prior = CELLS[(family, case)].prior(**ms["prior"])
         spec = ModelSpec(family=family, case=case, prior=prior,
                          noninformative=ms["noninformative"],
-                         known=dict(ms["known"]), view=ms["view"],
+                         known={k: float(v) for k, v in ms["known"].items()},
+                         view=ms["view"],
                          threshold=ms["threshold"])
-        posterior = _posterior_from_block(CELLS[(family, case)].posterior,
-                                          doc["posterior"])
         raw = doc["suff_stats"]
         stats = SuffStats(n=raw["n"], min=raw["min"], max=raw["max"],
                           sum=raw["sum"], sum_log=raw["sum_log"])
-        return FittedModel(spec=spec, posterior=posterior, stats=stats,
-                           known=dict(doc["known"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"state file {path} is malformed: {exc}") from None
+    return fit(spec, stats)
 
 
 def predictive_document(fitted: FittedModel) -> dict:

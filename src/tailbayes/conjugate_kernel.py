@@ -39,6 +39,8 @@ class GammaPosterior:
     def __post_init__(self):
         if self.shape < 0 or self.rate < 0:
             raise DomainError("Gamma posterior parameters cannot be negative")
+        if not (math.isfinite(self.shape) and math.isfinite(self.rate)):
+            raise InvalidRegimeError(f"Gamma posterior leaves float range: {self}")
 
     @property
     def is_proper(self) -> bool:

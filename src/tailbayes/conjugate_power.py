@@ -103,7 +103,7 @@ class PowerJointPrior:
             raise DomainError("prior bound u0 must be positive")
         if self.n0 < 0 or self.n0_shape < 0:
             raise DomainError("pseudo-counts cannot be negative")
-        if self.n0_shape > 0 and not 0.0 < self.g0 < 1.0:
+        if not 0.0 < self.g0 < 1.0:
             raise DomainError("geometric-mean guess g0 must lie in (0, 1)")
 
 

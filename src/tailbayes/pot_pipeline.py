@@ -57,7 +57,6 @@ class Cell:
     """
 
     prior: type
-    posterior: type
     known: tuple[str, ...]
     update: Callable
     noninformative: Callable | None
@@ -68,72 +67,72 @@ class Cell:
 
 CELLS = {
     ("pareto", "location"): Cell(
-        cpar.ParetoPriorL, cpar.LowerBoundPosterior, ("alpha",),
+        cpar.ParetoPriorL, ("alpha",),
         lambda p, s: cpar.posterior_l(p, s),
         lambda s, k: cpar.noninformative("location", s, **k),
         lambda f: cpar.predictive_l(f.posterior),
         lambda f: (f.posterior.l_n, f.posterior.n_eff), "lower"),
     ("pareto", "shape"): Cell(
-        cpar.ParetoPriorAlpha, cpar.GammaPosterior, ("l",),
+        cpar.ParetoPriorAlpha, ("l",),
         lambda p, s: cpar.posterior_alpha(p, s),
         lambda s, k: cpar.noninformative("shape", s, **k),
         lambda f: cpar.predictive_alpha(f.posterior, f.known["l"]),
         lambda f: (f.known["l"], f.posterior.shape), "lower"),
     ("pareto", "joint"): Cell(
-        cpar.ParetoJointPrior, cpar.ParetoJointPosterior, (),
+        cpar.ParetoJointPrior, (),
         lambda p, s: cpar.posterior_joint(p, s), None,
         lambda f: cpar.predictive_joint(f.posterior),
         lambda f: (f.posterior.l_n, f.posterior.n_eff_bound), "lower"),
     ("shifted_exp", "location"): Cell(
-        cexp.ExpPriorL, cexp.OnsetPosterior, ("alpha",),
+        cexp.ExpPriorL, ("alpha",),
         lambda p, s: cexp.posterior_l(p, s),
         lambda s, k: cexp.noninformative("location", s, **k),
         lambda f: cexp.predictive_l(f.posterior),
         lambda f: (f.posterior.l_n, f.posterior.n_eff), "lower"),
     ("shifted_exp", "shape"): Cell(
-        cexp.ExpPriorAlpha, cpar.GammaPosterior, ("l",),
+        cexp.ExpPriorAlpha, ("l",),
         lambda p, s: cexp.posterior_alpha(p, s),
         lambda s, k: cexp.noninformative("shape", s, **k),
         lambda f: cexp.predictive_alpha(f.posterior, f.known["l"]),
         lambda f: (f.known["l"], f.posterior.shape), "lower"),
     ("shifted_exp", "joint"): Cell(
-        cexp.ExpJointPrior, cexp.ExpJointPosterior, (),
+        cexp.ExpJointPrior, (),
         lambda p, s: cexp.posterior_joint(p, s), None,
         lambda f: cexp.predictive_joint(f.posterior),
         lambda f: (f.posterior.l_n, f.posterior.n_eff_onset), "lower"),
     ("power", "location"): Cell(
-        cpow.PowerPriorU, cpow.UpperBoundPosterior, ("alpha",),
+        cpow.PowerPriorU, ("alpha",),
         lambda p, s: cpow.posterior_u(p, s),
         lambda s, k: cpow.noninformative("bound", s, **k),
         lambda f: cpow.predictive_u(f.posterior),
         lambda f: (f.posterior.u_n, f.posterior.n_eff), "upper"),
     ("power", "shape"): Cell(
-        cpow.PowerPriorAlpha, cpar.GammaPosterior, ("u",),
+        cpow.PowerPriorAlpha, ("u",),
         lambda p, s: cpow.posterior_alpha(p, s),
         lambda s, k: cpow.noninformative("shape", s, **k),
         lambda f: cpow.predictive_alpha(f.posterior, f.known["u"]),
         lambda f: (f.known["u"], f.posterior.shape), "upper"),
     ("power", "joint"): Cell(
-        cpow.PowerJointPrior, cpow.PowerJointPosterior, (),
+        cpow.PowerJointPrior, (),
         lambda p, s: cpow.posterior_joint(p, s), None,
         lambda f: cpow.predictive_joint(f.posterior),
         lambda f: (f.posterior.u_n, f.posterior.n_eff_bound), "upper"),
     # the width bound is reported as a width, its predictive edge as an
     # absolute upper end
     ("uniform", "width"): Cell(
-        cuni.UniformPriorW, cuni.WidthPosterior, ("l",),
+        cuni.UniformPriorW, ("l",),
         lambda p, s: cuni.posterior_w(p, s),
         lambda s, k: cuni.noninformative("width", s, **k),
         lambda f: cuni.predictive_w(f.posterior),
         lambda f: (f.posterior.w_n, f.posterior.n_eff), "upper"),
     ("uniform", "lower"): Cell(
-        cuni.UniformPriorL, cuni.LocationPosterior, ("w",),
+        cuni.UniformPriorL, ("w",),
         lambda p, s: cuni.posterior_location(p, s),
         lambda s, k: cuni.noninformative("lower", s, **k),
         lambda f: cuni.predictive_location(f.posterior),
         lambda f: (f.posterior.high, float(f.stats.n)), "lower"),
     ("uniform", "joint"): Cell(
-        cuni.UniformJointPrior, cuni.UniformJointPosterior, (),
+        cuni.UniformJointPrior, (),
         lambda p, s: cuni.posterior_joint(p, s), None,
         lambda f: cuni.predictive_joint(f.posterior),
         lambda f: (f.posterior.u_n, f.posterior.n_eff), "upper"),

@@ -4,11 +4,14 @@ A single pass over the data yields everything any conjugate update in this
 package needs: count, extremes, sum and sum of logs.  The log sum is only
 defined when every datum is strictly positive; otherwise it is carried as
 absent and updates that need it refuse.  Merging summaries is associative
-and commutative, so batches can be combined in any order.
+and commutative, so batches can be combined in any order.  No summary has
+a fractional count, a non-finite value or a log sum its data lack.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +36,20 @@ class SuffStats:
     sum_log: float | None
 
     def __post_init__(self):
-        if self.n < 0:
-            raise DomainError("count cannot be negative")
+        if type(self.n) is not int or self.n < 0:
+            raise DomainError(f"count must be an integer >= 0, got {self.n!r}")
         if self.n == 0 and (self.min is not None or self.max is not None):
             raise DomainError("empty summary cannot carry bounds")
         if self.n > 0 and (self.min is None or self.max is None):
             raise DomainError("non-empty summary must carry bounds")
+        finite = math.isfinite
+        if not (finite(self.sum)
+                and (self.n == 0 or finite(self.min) and finite(self.max))
+                and (self.sum_log is None or finite(self.sum_log))):
+            raise DomainError(f"summary values must be finite, got {self}")
+        if (self.sum_log is None) == (self.n == 0 or self.min > 0):
+            raise DomainError("sum_log must be present exactly when every "
+                              "datum is positive")
 
     def require_sum_log(self) -> float:
         if self.sum_log is None:
@@ -50,6 +61,9 @@ class SuffStats:
 
 EMPTY = SuffStats(n=0, min=None, max=None, sum=0.0, sum_log=0.0)
 
+# below this bound on n * max|x| no partial sum can overflow
+_SAFE_SUM = sys.float_info.max / 2
+
 
 def suff_stats(data) -> SuffStats:
     """Summarize a batch of real values in one pass."""
@@ -60,17 +74,15 @@ def suff_stats(data) -> SuffStats:
         return EMPTY
     if not np.all(np.isfinite(x)):
         raise DomainError("data must be finite")
-    if np.all(x > 0):
-        slog = float(np.sum(np.log(x)))
+    lo, hi = float(np.min(x)), float(np.max(x))
+    if x.size * max(hi, -lo) < _SAFE_SUM:
+        total = float(np.sum(x))
     else:
-        slog = None
-    return SuffStats(
-        n=int(x.size),
-        min=float(np.min(x)),
-        max=float(np.max(x)),
-        sum=float(np.sum(x)),
-        sum_log=slog,
-    )
+        # a partial sum may leave float range; SuffStats refuses the inf
+        with np.errstate(over="ignore"):
+            total = float(np.sum(x))
+    slog = float(np.sum(np.log(x))) if lo > 0 else None
+    return SuffStats(n=int(x.size), min=lo, max=hi, sum=total, sum_log=slog)
 
 
 def merge(a: SuffStats, b: SuffStats) -> SuffStats:

@@ -33,7 +33,7 @@ from tailbayes.pot_pipeline import (
     suff_stats,
     support,
 )
-from tailbayes.sufficient import EMPTY
+from tailbayes.sufficient import EMPTY, SuffStats
 
 EXACT_TOL = 1e-12
 
@@ -108,6 +108,42 @@ class TestMergeLaws:
         a = suff_stats([1.0, 2.0])
         assert merge(a, EMPTY) is a
         assert merge(EMPTY, a) is a
+
+
+class TestSuffStatsContract:
+    """What a summary must carry on its own; anything else is a
+    DomainError where the summary is made, merged or read back."""
+
+    GOOD = dict(n=2, min=1.0, max=2.0, sum=3.0, sum_log=math.log(2.0))
+
+    @pytest.mark.parametrize("n", [True, -1, 2.5])
+    def test_count_is_an_integer_at_least_zero(self, n):
+        with pytest.raises(DomainError, match="count"):
+            SuffStats(**{**self.GOOD, "n": n})
+
+    @pytest.mark.parametrize("name", ["min", "max", "sum", "sum_log"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_values_are_finite(self, name, bad):
+        with pytest.raises(DomainError, match="finite"):
+            SuffStats(**{**self.GOOD, name: bad})
+
+    @pytest.mark.parametrize("fields", [
+        dict(n=2, min=0.0, max=2.0, sum=2.0, sum_log=0.0),
+        dict(n=2, min=-1.0, max=2.0, sum=1.0, sum_log=0.0),
+        dict(n=2, min=1.0, max=2.0, sum=3.0, sum_log=None),
+        dict(n=0, min=None, max=None, sum=0.0, sum_log=None),
+    ], ids=["present-min-zero", "present-min-negative", "missing-positive",
+            "missing-empty"])
+    def test_sum_log_present_exactly_when_all_positive(self, fields):
+        with pytest.raises(DomainError, match="sum_log"):
+            SuffStats(**fields)
+
+    def test_overflowing_sum(self):
+        big = suff_stats([1e308])
+        with pytest.raises(DomainError, match="finite"):
+            merge(big, big)
+        with pytest.raises(DomainError, match="finite"):
+            suff_stats([1e308, 1.5e308])
 
 
 class TestModelSpec:
