@@ -143,6 +143,11 @@ def ingest(path: str, fmt: str | None = None, column: str | None = None,
     return _ingest_jsonl(path, field)
 
 
+def _json_number(value):
+    """JSON has no infinity: an infinite float is written as null."""
+    return None if isinstance(value, float) and math.isinf(value) else value
+
+
 def _posterior_block(post) -> dict:
     """The posterior's fields for the state document; a nested Gamma
     block is spelled out as its shape and rate."""
@@ -151,7 +156,7 @@ def _posterior_block(post) -> dict:
         value = getattr(post, f.name)
         block.update(dataclasses.asdict(value) if dataclasses.is_dataclass(value)
                      else {f.name: value})
-    return block
+    return {key: _json_number(value) for key, value in block.items()}
 
 
 def render_document(fitted: FittedModel, seed: int | None = None) -> str:
@@ -177,7 +182,7 @@ def render_document(fitted: FittedModel, seed: int | None = None) -> str:
         "known": dict(fitted.known),
         "metadata": {"seed": seed, "tool_version": __version__},
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def load_document(path: str) -> FittedModel:
@@ -218,10 +223,10 @@ def predictive_document(fitted: FittedModel) -> dict:
     """Canonical dictionary describing the model's predictive distribution.
 
     The CLI prints exactly this as sorted JSON, so an in-process caller can
-    reproduce the bytes by serializing the same dictionary.
+    reproduce the bytes by serializing the same dictionary.  An unbounded
+    support end is null.
     """
     pred = predict(fitted)
-    lo, hi = pred.support()
     quantiles = {}
     for p in (0.01, 0.1, 0.5, 0.9, 0.99):
         quantiles[repr(p)] = float(pred.quantile(p))
@@ -232,7 +237,7 @@ def predictive_document(fitted: FittedModel) -> dict:
             "type": type(pred).__name__,
             "params": dataclasses.asdict(pred),
         },
-        "support": [lo, hi],
+        "support": [_json_number(end) for end in pred.support()],
         "quantiles": quantiles,
     }
 
@@ -308,7 +313,8 @@ def _cmd_fit(args) -> int:
 def _cmd_predict(args) -> int:
     fitted = load_document(args.state)
     doc = predictive_document(fitted)
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n",
+          args.out)
     return 0
 
 

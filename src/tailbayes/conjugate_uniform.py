@@ -10,24 +10,23 @@ Three cases, in increasing difficulty:
   marginal p(w|X) = w**-(N+1) * (w-w_n)/(w-w0) / C(N) is not conjugate
   and needs the evidence constant C(N).
 
-All width-marginal integrals reduce to two tail integrals with the knee
-at s >= w_n >= w0 > 0:
+In units of the pooled range w_n, with rho = w0/w_n and a knee s >= 1,
+every width-marginal integral is a series of positive terms in
+r = rho/s,
 
-    K(m, s) = integral_s^inf w**-(m+1) * (w-s)  / (w-w0) dw
-    Q(m, s) = integral_s^inf w**-(m+1) * (w-s)**2 / (2*(w-w0)) dw
+    F_p(a, r) = sum_k r**k / ((a+k)(a+k+1)...(a+k+p-1)):
 
-Both have exact series forms through S(x, a) = sum_k x**k / (a+k):
+    C(N)    = integral_1^inf v**-(N+1) * (v-1) / (v-rho) dv = F_2(N, rho)
+    K(m, s) = integral_s^inf v**-(m+1) * (v-s) / (v-rho) dv = s**-m * F_2(m, r)
+    Q(m, s) = integral_s^inf v**-(m+1) * (v-s)**2 / (2*(v-rho)) dv
+            = s**(1-m) * F_3(m-1, r)
 
-    K(m, s) = s**-m / m - (s-w0) * s**-(m+1) * S(w0/s, m+1)
-    2*Q(m, s) = s**-(m-1)/(m*(m-1)) - (s-w0) * s**-m / m
-                + (s-w0)**2 * s**-(m+1) * S(w0/s, m+1)
-
-used as the fast path (the scaled series never overflows), with adaptive
-quadrature as the fallback when w0/s is too close to 1 for the series.
-Internally everything is computed in units of w_n, because raw C(N) is
-of order w_n**-N and can leave float range even though every quantity
-that matters (densities, masses, bound ratios) is a ratio of such
-constants.
+Nothing cancels, so no digits are lost at any count or ratio.  F_p is
+summed through its Beta-integral form with a fixed Gauss-Legendre rule on
+segments that double away from the integrand's nearest pole, one pass
+over whole arrays of points.  Working in units of w_n also keeps C(N),
+of order w_n**-N in raw units, inside float range; every quantity that
+matters (densities, masses, bound ratios) is a ratio of such constants.
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .distributions import Pareto, Uniform, _check_prob, _ret, _uniforms, as_generator
 from .errors import (
@@ -70,92 +67,95 @@ __all__ = [
     "noninformative",
 ]
 
-# Past this point the series in powers of w0/s needs too many terms;
-# adaptive quadrature takes over.
-_SERIES_RATIO_MAX = 0.999
 
-_QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-12, limit=300)
-
-
-def _inv_order_series(x: float, a: float, rel_tol: float = 1e-14,
-                      max_terms: int = 10 ** 6) -> float:
-    """sum_k x**k / (a+k) for 0 <= x <= _SERIES_RATIO_MAX, a > 0."""
-    total = 1.0 / a
-    term = 1.0
-    for k in range(1, max_terms):
-        term *= x
-        piece = term / (a + k)
-        total += piece
-        if piece < rel_tol * total:
-            return total
-    raise ConvergenceError("series for the width-tail integral did not settle")
+def _gauss_legendre(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], by
+    Newton steps on the Legendre recurrence from Chebyshev guesses (no
+    linear algebra, so importing this module starts no BLAS)."""
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(6):
+        p, q = x, np.ones(n)
+        for k in range(2, n + 1):
+            p, q = ((2 * k - 1) * x * p - (k - 1) * q) / k, p
+        slope = n * (x * p - q) / (x * x - 1.0)
+        x = x - p / slope
+    return x, 2.0 / ((1.0 - x * x) * slope * slope)
 
 
-def _check_tail_args(order: float, knee: float, pole: float) -> None:
+# One fixed rule on each segment of the series' integral form; e**-50 ~
+# 2e-22 bounds the integrand's mass beyond the last segment.
+_GL_X, _GL_W = _gauss_legendre(16)
+_U_END = 50.0
+
+
+def _nodes(p: int, a: float, r_max: float):
+    """Nodes x_k and weights c_k with F_p(a, r) = sum_k c_k / (1-r + r*x_k)
+    for every 0 <= r <= r_max.
+
+    F_p(a, r) = 1/((p-1)! a) integral_0^inf e**-u x**(p-1) / (1-r + r*x) du
+    with x = 1 - e**(-u/a).  The integrand's nearest pole sits at
+    u = a*log(r), so the segments double from d = min(-a*log(r_max), a, 1)
+    out to _U_END and every segment lies at least its own length from it.
+    At r_max = 1 the pole cancels (p >= 2) and d stops at a * 2**-53, the
+    smallest -log(r) a float r < 1 can have.
+    """
+    spread = -math.log(r_max) if r_max > 0.0 else math.inf
+    d = min(a * max(spread, 2.0 ** -53), a, 1.0)
+    edges = [0.0]
+    while edges[-1] < _U_END:
+        edges.append(min(max(d, 2.0 * edges[-1]), _U_END))
+    edges = np.array(edges)
+    half = 0.5 * np.diff(edges)[:, None]
+    u = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * _GL_X
+    x = -np.expm1(-u / a)
+    c = half * _GL_W * np.exp(-u) * x ** (p - 1) / (math.factorial(p - 1) * a)
+    return x.ravel(), c.ravel()
+
+
+def _series(p: int, a: float, r, r_max: float):
+    """F_p(a, r) = sum_k r**k / ((a+k)(a+k+1)...(a+k+p-1)) over an array r
+    of ratios in [0, r_max]; every term positive, so nothing cancels.
+
+    One pass over the nodes accumulates into an array the size of r, and
+    the nodes depend on (p, a, r_max) alone, so a point gets the same
+    value alone as inside an array.
+    """
+    r = np.asarray(r, dtype=float)
+    x, c = _nodes(p, a, r_max)
+    gap = 1.0 - r
+    total = np.zeros(r.shape)
+    for xk, ck in zip(x, c):
+        total += ck / (gap + r * xk)
+    return total
+
+
+def _check_tail_args(order: float, knee, pole: float) -> None:
     if order <= 0:
         raise DomainError("tail integral order must be positive")
-    if knee <= 0 or pole < 0 or pole > knee:
-        raise DomainError("tail integral needs 0 <= w0 <= s with s > 0")
+    if not 0.0 <= pole <= 1.0 or np.any(np.asarray(knee) < 1.0):
+        raise DomainError("tail integral needs 0 <= w0 <= w_n <= s, in units "
+                          "of w_n")
 
 
-def _tail_linear_quad(order: float, knee: float, pole: float) -> float:
-    """K(order, knee) by adaptive quadrature."""
+def _tail_linear(order: float, knee, pole: float):
+    """K(order, knee) = knee**-order * F_2(order, pole/knee), in units of
+    w_n (knee >= 1 >= pole)."""
     _check_tail_args(order, knee, pole)
-
-    def integrand(w):
-        return w ** (-(order + 1.0)) * (w - knee) / (w - pole)
-
-    value, err = quad(integrand, knee, np.inf, **_QUAD_OPTS)
-    if err > 1e-9 * max(1.0, abs(value)):
-        raise ConvergenceError("width-tail quadrature error estimate too large")
-    return value
+    return knee ** (-order) * _series(2, order, pole / knee, pole)
 
 
-def _tail_linear(order: float, knee: float, pole: float) -> float:
-    """K(order, knee): series fast path, quadrature when w0/s is near 1."""
-    _check_tail_args(order, knee, pole)
-    if pole == knee:
-        return knee ** (-order) / order
-    ratio = pole / knee
-    if ratio <= _SERIES_RATIO_MAX:
-        head = knee ** (-order) / order
-        tail = (knee - pole) * knee ** (-(order + 1.0))
-        return head - tail * _inv_order_series(ratio, order + 1.0)
-    return _tail_linear_quad(order, knee, pole)
-
-
-def _tail_square_quad(order: float, knee: float, pole: float) -> float:
-    """Q(order, knee) by adaptive quadrature."""
-    _check_tail_args(order, knee, pole)
-
-    def integrand(w):
-        return w ** (-(order + 1.0)) * (w - knee) ** 2 / (2.0 * (w - pole))
-
-    value, err = quad(integrand, knee, np.inf, **_QUAD_OPTS)
-    if err > 1e-9 * max(1.0, abs(value)):
-        raise ConvergenceError("width-tail quadrature error estimate too large")
-    return value
-
-
-def _tail_square(order: float, knee: float, pole: float) -> float:
-    """Q(order, knee): series fast path, quadrature when w0/s is near 1."""
+def _tail_square(order: float, knee, pole: float):
+    """Q(order, knee) = knee**(1-order) * F_3(order-1, pole/knee), in units
+    of w_n (knee >= 1 >= pole)."""
     _check_tail_args(order, knee, pole)
     if order <= 1:
         raise DomainError("squared tail integral needs order > 1")
-    if pole == knee:
-        return knee ** (-(order - 1.0)) / (2.0 * order * (order - 1.0))
-    ratio = pole / knee
-    if ratio <= _SERIES_RATIO_MAX:
-        gap = knee - pole
-        head = knee ** (-(order - 1.0)) / (order * (order - 1.0))
-        mid = gap * knee ** (-order) / order
-        tail = gap * gap * knee ** (-(order + 1.0))
-        return 0.5 * (head - mid + tail * _inv_order_series(ratio, order + 1.0))
-    return _tail_square_quad(order, knee, pole)
+    return knee ** (1.0 - order) * _series(3, order - 1.0, pole / knee, pole)
 
 
 def _scaled_evidence(order: float, w0: float, w_n: float) -> float:
-    """C(order) in units of w_n: 1/order at w0 = w_n, quadrature below.
+    """C(order) in units of w_n: F_2(order, w0/w_n), exactly 1/order at
+    w0 = w_n.
 
     w0 > w_n puts the pole of (w-w_n)/(w-w0) inside the support, where the
     width marginal is not integrable.
@@ -166,7 +166,7 @@ def _scaled_evidence(order: float, w0: float, w_n: float) -> float:
             "marginal has a non-integrable pole and no posterior exists"
         )
     rho = w0 / w_n
-    return 1.0 / order if rho == 1.0 else _tail_linear_quad(order, 1.0, rho)
+    return 1.0 / order if rho == 1.0 else float(_tail_linear(order, 1.0, rho))
 
 
 def _check_evidence(name: str, order: float, value: float) -> None:
@@ -283,7 +283,7 @@ class LocationPosterior:
 @dataclass(frozen=True)
 class EvidenceResult:
     """Normalizing constant of the joint width posterior; note says how
-    it was obtained (analytic reduction or adaptive quadrature)."""
+    it was obtained (analytic reduction, or the series and its node count)."""
 
     value: float
     note: str
@@ -300,9 +300,9 @@ class UniformJointPosterior:
     only ever needs ratios.
 
     On v > 1, (v-1)/v <= (v-1)/(v-rho) < 1, so C(k) in units of w_n lies
-    in [1/(k*(k+1)), 1/k].  A constant outside that bracket (quadrature
-    that missed the mass within ~1/N of v = 1, or a damaged state file)
-    raises ConvergenceError here, before any evaluation divides by it.
+    in [1/(k*(k+1)), 1/k].  A constant outside that bracket (one built by
+    hand or from a damaged record) raises ConvergenceError here, before
+    any evaluation divides by it.
     """
 
     l_n: float
@@ -336,39 +336,21 @@ class UniformJointPosterior:
         out = np.where(v > 1.0, body / (self.c_n * self.w_n), 0.0)
         return _ret(w, out)
 
-    def _width_tail_one(self, sigma: float) -> float:
-        """Unnormalized upper tail of the width marginal, in w_n units.
-
-        G(sigma) = K(N, sigma) + (sigma-1) * sigma**-(N+1) * S(rho/sigma, N+1),
-        splitting (v - 1) into (v - sigma) + (sigma - 1).
-        """
-        rho = self.w0 / self.w_n
-        if sigma <= 1.0:
-            return self.c_n
-        if rho == 1.0:
-            return sigma ** (-self.n_eff) / self.n_eff
-        ratio = rho / sigma
-        if ratio > _SERIES_RATIO_MAX:
-            n = self.n_eff
-
-            def integrand(v):
-                return v ** (-(n + 1.0)) * (v - 1.0) / (v - rho)
-
-            value, err = quad(integrand, sigma, np.inf, **_QUAD_OPTS)
-            if err > 1e-9 * max(1.0, abs(value)):
-                raise ConvergenceError(
-                    "width-tail quadrature error estimate too large")
-            return value
-        head = _tail_linear(self.n_eff, sigma, rho)
-        series = _inv_order_series(ratio, self.n_eff + 1.0)
-        return head + (sigma - 1.0) * sigma ** (-(self.n_eff + 1.0)) * series
-
     def width_cdf(self, w):
-        """Distribution function of the width marginal (0 at or below w_n)."""
-        arr = np.atleast_1d(np.asarray(w, dtype=float))
-        out = np.array([1.0 - self._width_tail_one(v / self.w_n) / self.c_n
-                        for v in arr.ravel()])
-        return _ret(w, out.reshape(arr.shape))
+        """Distribution function of the width marginal (0 at or below w_n).
+
+        Splitting (v-1) into (v-s) + (s-1) gives its upper tail in units of
+        w_n as G(s) = K(N, s) + (s-1) * s**-(N+1) * F_1(N+1, rho/s).
+        """
+        v = np.atleast_1d(np.asarray(w, dtype=float)) / self.w_n
+        rho, n = self.w0 / self.w_n, self.n_eff
+        out = np.zeros(v.shape)
+        wide = v > 1.0
+        s = v[wide]
+        tail = _tail_linear(n, s, rho) + (s - 1.0) * s ** (-(n + 1.0)) * _series(
+            1, n + 1.0, rho / s, rho)
+        out[wide] = 1.0 - tail / self.c_n
+        return _ret(w, np.clip(out, 0.0, 1.0))
 
     def conditional_location(self, w: float) -> Uniform:
         """Posterior over the lower bound given the width w > w_n."""
@@ -388,7 +370,8 @@ class UniformJointPredictive:
     so the density is constant at C(N+1)/C(N) between l_n and u_n and
     decays like a power in both directions outside; no finite support
     edge exists.  The cdf uses the squared-tail integral Q, through the
-    exact identity 2*Q(N+1, w_n) + w_n*K(N+1, w_n) = C(N).
+    identity 2*Q(N+1, w_n) + w_n*K(N+1, w_n) = C(N), which the series
+    satisfy term by term: the cdf is 1/2 at the midpoint up to rounding.
     """
 
     l_n: float
@@ -413,27 +396,21 @@ class UniformJointPredictive:
     def _rho(self) -> float:
         return self.w0 / self.w_n
 
-    def _sigma(self, x: float) -> float:
+    def _sigma(self, x):
         """Pooled range after adjoining x, in units of w_n (>= 1)."""
-        return (max(self.u_n, x) - min(self.l_n, x)) / self.w_n
+        return (np.maximum(self.u_n, x) - np.minimum(self.l_n, x)) / self.w_n
 
-    def _pdf_one(self, x: float) -> float:
-        k = _tail_linear(self.n_eff + 1.0, self._sigma(x), self._rho())
-        return k / (self.c_n * self.w_n)
-
-    def _cdf_one(self, x: float) -> float:
-        rho = self._rho()
-        if x <= self.l_n:
-            return _tail_square(self.n_eff + 1.0, self._sigma(x), rho) / self.c_n
-        if x >= self.u_n:
-            return 1.0 - _tail_square(self.n_eff + 1.0, self._sigma(x), rho) / self.c_n
-        below = _tail_square(self.n_eff + 1.0, 1.0, rho) / self.c_n
-        return below + (x - self.l_n) * self.flat_level
+    def _mass_beyond(self, x):
+        """Q(N+1, s(x)) / C(N): the mass on the far side of x from [l_n, u_n]."""
+        return _tail_square(self.n_eff + 1.0, self._sigma(x), self._rho()) / self.c_n
 
     def pdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        out = np.array([self._pdf_one(v) for v in np.atleast_1d(arr).ravel()])
-        return _ret(x, out.reshape(np.atleast_1d(arr).shape))
+        arr = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.full(arr.shape, self.flat_level)
+        far = ~((arr >= self.l_n) & (arr <= self.u_n))
+        out[far] = _tail_linear(self.n_eff + 1.0, self._sigma(arr[far]),
+                                self._rho()) / (self.c_n * self.w_n)
+        return _ret(x, out)
 
     def log_pdf(self, x):
         dens = self.pdf(x)
@@ -441,38 +418,39 @@ class UniformJointPredictive:
             return np.log(dens) if np.ndim(dens) else float(np.log(dens))
 
     def cdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        out = np.array([self._cdf_one(v) for v in np.atleast_1d(arr).ravel()])
-        return _ret(x, out.reshape(np.atleast_1d(arr).shape))
+        arr = np.atleast_1d(np.asarray(x, dtype=float))
+        out = self._mass_beyond(self.l_n) + (arr - self.l_n) * self.flat_level
+        low, high = arr < self.l_n, arr > self.u_n
+        out[low] = self._mass_beyond(arr[low])
+        out[high] = 1.0 - self._mass_beyond(arr[high])
+        return _ret(x, np.clip(out, 0.0, 1.0))
 
-    def _quantile_one(self, p: float) -> float:
-        rho = self._rho()
-        order = self.n_eff + 1.0
-        mass_below = _tail_square(order, 1.0, rho) / self.c_n
-        mass_upto_un = mass_below + self.w_n * self.flat_level
-        if mass_below <= p <= mass_upto_un:
-            return self.l_n + (p - mass_below) / self.flat_level
-        # Invert the decreasing tail integral Q(order, sigma) = target.
-        target = (p if p < mass_below else 1.0 - p) * self.c_n
-
-        def gap(sigma):
-            return _tail_square(order, sigma, rho) - target
-
-        hi = 2.0
-        while gap(hi) > 0.0:
-            hi *= 2.0
-            if hi > 1e12:
-                raise ConvergenceError("predictive quantile bracket not found")
-        sigma = brentq(gap, 1.0, hi, xtol=1e-14, rtol=1e-14)
-        if p < mass_below:
-            return self.u_n - sigma * self.w_n
-        return self.l_n + sigma * self.w_n
+    def _solve_beyond(self, mass):
+        """s >= 1 with Q(N+1, s) / C(N) = mass, for 0 < mass below the mass
+        beyond l_n.  log Q is convex and decreasing in y = log s, so Newton
+        steps from y = 0 rise monotonically to the root."""
+        m, rho = self.n_eff + 1.0, self._rho()
+        goal = np.log(mass) + math.log(self.c_n)
+        y = np.zeros(mass.shape)
+        for _ in range(100):
+            r = rho * np.exp(-y)
+            f3 = _series(3, m - 1.0, r, rho)
+            step = ((1.0 - m) * y + np.log(f3) - goal) * f3 / _series(2, m, r, rho)
+            y += step
+            if not np.any(np.abs(step) > 1e-13):
+                return np.exp(y)
+        raise ConvergenceError("predictive quantile did not converge")
 
     def quantile(self, p):
-        _check_prob(p)
-        arr = np.asarray(p, dtype=float)
-        out = np.array([self._quantile_one(v) for v in np.atleast_1d(arr).ravel()])
-        return _ret(p, out.reshape(np.atleast_1d(arr).shape))
+        prob = np.atleast_1d(_check_prob(p))
+        below = self._mass_beyond(self.l_n)
+        out = self.l_n + (prob - below) / self.flat_level
+        side = np.minimum(prob, 1.0 - prob)
+        tail = side < below
+        s = self._solve_beyond(side[tail])
+        out[tail] = np.where(prob[tail] < 0.5, self.u_n - s * self.w_n,
+                             self.l_n + s * self.w_n)
+        return _ret(p, out)
 
     def _sample_widths(self, gen: np.random.Generator, size: int) -> np.ndarray:
         """Exact draws of w/w_n by rejection against Pareto(N, 1).
@@ -557,8 +535,8 @@ def predictive_location(post: LocationPosterior) -> Trapezoid:
 def evidence_C(n_eff: float, w0: float, w_n: float) -> EvidenceResult:
     """Normalizer C(N) of the joint width marginal.
 
-    Computed in units of w_n, where it reduces analytically to 1/N when
-    w0 = w_n, and held to its bracket [1/(N(N+1)), 1/N] there
+    Computed in units of w_n as the series F_2(N, w0/w_n), which reduces
+    to 1/N when w0 = w_n, and held to its bracket [1/(N(N+1)), 1/N] there
     (ConvergenceError outside it).  Refuses w0 > w_n: the integrand then
     has a non-integrable pole at w = w0 inside the support.
     """
@@ -568,8 +546,10 @@ def evidence_C(n_eff: float, w0: float, w_n: float) -> EvidenceResult:
         raise DomainError("evidence needs positive widths w0, w_n")
     scaled = _scaled_evidence(n_eff, w0, w_n)
     _check_evidence("C(N)", n_eff, scaled)
-    note = ("analytic reduction at w0 = w_n" if w0 == w_n
-            else "adaptive quadrature")
+    rho = w0 / w_n
+    note = ("analytic reduction at w0 = w_n" if rho == 1.0 else
+            f"positive-term series F_2(N, w0/w_n) by "
+            f"{_nodes(2, n_eff, rho)[0].size} Gauss-Legendre nodes")
     return EvidenceResult(value=w_n ** (-n_eff) * scaled, note=note)
 
 
@@ -578,8 +558,8 @@ def posterior_joint(prior: UniformJointPrior, stats: SuffStats) -> UniformJointP
 
     The pooled endpoints are l_n = min(l0, data min), u_n = max(u0, data
     max); their gap w_n anchors the width marginal.  Evidence constants
-    are computed by quadrature on the w_n-scaled integrand; the posterior
-    raises ConvergenceError when they leave the bracket they must lie in.
+    are the series F_2 in units of w_n; the posterior raises
+    ConvergenceError if they leave the bracket they must lie in.
     """
     if stats.n == 0:
         raise DomainError("joint update needs at least one observation")

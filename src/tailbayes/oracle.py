@@ -552,7 +552,7 @@ def diagnostic_notes() -> list[str]:
         "example and is rejected because it is negative and breaks "
         "normalization.",
         "note: uniform joint evidence constant at (n_eff=2, w0=0.5, w_n=1): "
-        f"quadrature {ev.value!r}; the printed incomplete-beta form equals "
-        f"-w_n times it, {-w_n * ev.value!r} (sign-inconsistent; quadrature "
-        "is authoritative).",
+        f"positive-term series {ev.value!r}; the printed incomplete-beta form "
+        f"equals -w_n times it, {-w_n * ev.value!r} (sign-inconsistent; the "
+        "series is authoritative).",
     ]

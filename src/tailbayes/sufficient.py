@@ -47,6 +47,8 @@ class SuffStats:
                 and (self.n == 0 or finite(self.min) and finite(self.max))
                 and (self.sum_log is None or finite(self.sum_log))):
             raise DomainError(f"summary values must be finite, got {self}")
+        if self.n > 0 and self.min > self.max:
+            raise DomainError(f"summary min {self.min!r} exceeds max {self.max!r}")
         if (self.sum_log is None) == (self.n == 0 or self.min > 0):
             raise DomainError("sum_log must be present exactly when every "
                               "datum is positive")

@@ -279,6 +279,62 @@ class TestNonFiniteValues:
         assert cli.main(["predict", "--state", str(laptop_state)]) == 3
 
 
+def strict_json(text):
+    """json.loads that refuses the Infinity and NaN tokens JSON lacks."""
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    """Every fit and predict output is strict JSON: an infinite value (an
+    unbounded support end, a bound no datum has set) is written as null."""
+
+    MODELS = [(cell, "prior") for cell in CELL_DOCUMENTS] + [
+        (cell, "noninformative") for cell in CELL_DOCUMENTS
+        if CELLS[cell].noninformative]
+
+    @pytest.mark.parametrize("cell,mode", MODELS,
+                             ids=lambda v: "-".join(v) if isinstance(v, tuple) else v)
+    @pytest.mark.parametrize("empty", [False, True], ids=["data", "empty"])
+    def test_fit_and_predict(self, tmp_path, capsys, cell, mode, empty):
+        prior, data, _ = CELL_DOCUMENTS[cell]
+        if mode == "prior":
+            model = ["--prior", ",".join(f"{k}={v!r}" for k, v in vars(prior).items())]
+        else:
+            model = ["--noninformative", "--known", ",".join(
+                f"{k}={getattr(prior, k)!r}" for k in CELLS[cell].known)]
+        path = write_lines(tmp_path / "d.csv", [] if empty else data)
+        rc = cli.main(["fit", "--family", *cell[:1], "--case", cell[1], *model,
+                       "--data", path])
+        out = capsys.readouterr().out
+        assert rc == 0 or empty
+        if rc != 0:
+            return
+        state = tmp_path / "state.json"
+        state.write_text(out)
+        strict_json(out)
+        rc = cli.main(["predict", "--state", str(state)])
+        out = capsys.readouterr().out
+        assert rc == 0 or empty
+        if rc == 0:
+            doc = strict_json(out)
+            if cell == ("uniform", "joint"):
+                assert doc["support"] == [None, None]
+
+    def test_unset_bound_is_null(self, tmp_path, capsys):
+        path = write_lines(tmp_path / "empty.csv", [])
+        assert cli.main(["fit", "--family", "pareto", "--case", "location",
+                         "--noninformative", "--known", "alpha=1.2",
+                         "--data", path]) == 0
+        assert strict_json(capsys.readouterr().out)["posterior"]["l_n"] is None
+
+    def test_unbounded_support_end_is_null(self, laptop_state, capsys):
+        assert cli.main(["predict", "--state", str(laptop_state)]) == 0
+        lo, hi = strict_json(capsys.readouterr().out)["support"]
+        assert lo < 80.0 and hi is None
+
+
 def noninformative_state(tmp_path, family, case, known):
     data = write_lines(tmp_path / "d.csv", [1.5, 2.0, 3.0])
     state = tmp_path / "state.json"
@@ -323,6 +379,15 @@ class TestStateIsRefit:
         assert cli.main(["fit", "--update", "--state", str(state),
                          "--data", data, "--out", str(out)]) == 3
         assert not out.exists()
+
+    def test_min_above_max_exits_3(self, tmp_path, capsys):
+        state, _ = noninformative_state(tmp_path, "uniform", "width", "l=1")
+        doc = json.loads(state.read_text())
+        doc["suff_stats"].update(min=5.0, max=2.5)
+        state.write_text(json.dumps(doc))
+        assert cli.main(["predict", "--state", str(state)]) == 3
+        assert cli.main(["support", "--state", str(state)]) == 3
+        assert "exceeds max" in capsys.readouterr().err
 
     def test_overflowing_sum_exits_3(self, tmp_path, capsys):
         # refused where the statistics are made, with no RuntimeWarning
@@ -424,16 +489,23 @@ class TestExitCodes:
         assert "rescale" in capsys.readouterr().err
 
     def test_uniform_joint_evidence_outside_bracket(self, tmp_path, capsys):
-        # n_eff = 1e5 with w0/w_n = 0.2: the evidence quadrature misses its
-        # bracket, so fit refuses instead of writing an unusable state
+        # n_eff = 1e5 with w0/w_n = 0.2: the evidence mass lies within ~1/N
+        # of w_n, and the series keeps it inside its bracket, so fit writes
+        # a state that predict reads (an edited state whose constants leave
+        # the bracket is covered below)
         path = write_lines(tmp_path / "three.csv", [3.0, 5.0, 7.0])
         out = tmp_path / "state.json"
         rc = cli.main(["fit", "--family", "uniform", "--case", "joint",
                        "--prior", "w0=0.8,n0=99997,l0=4,u0=6",
                        "--data", path, "--out", str(out)])
-        assert rc == 4
-        assert "evidence" in capsys.readouterr().err
-        assert not out.exists()
+        assert rc == 0
+        n = 1e5
+        c_n = json.loads(out.read_text())["posterior"]["c_n"]
+        assert 1.0 / (n * (n + 1.0)) < c_n < 1.0 / n
+        capsys.readouterr()
+        assert cli.main(["predict", "--state", str(out)]) == 0
+        quantiles = json.loads(capsys.readouterr().out)["quantiles"]
+        assert quantiles["0.5"] == pytest.approx(5.0, abs=EXACT_TOL)
 
     @pytest.mark.parametrize("edit", [
         {"c_n": 0.0}, {"c_n1": 2.0}, {"n_eff": 0.0}],

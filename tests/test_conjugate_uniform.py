@@ -1,28 +1,29 @@
 """Updates for uniform data: width, lower bound, and the joint case.
 
 The width and location blocks are closed-form; the joint case has a
-non-conjugate width marginal driven by tail integrals with series and
-quadrature evaluation paths.  Tests pin the serial-number worked example,
-the trapezoid predictive, the evidence constant, both evaluation paths
-against each other, and the joint predictive against its defining
-mixture.
+non-conjugate width marginal driven by tail integrals that are series of
+positive terms.  Tests pin the serial-number worked example, the
+trapezoid predictive, the evidence constant, the series against adaptive
+quadrature and against mpmath, and the joint predictive against its
+defining mixture.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate, stats as sps
 
+from tailbayes import conjugate_uniform
 from tailbayes.conjugate_uniform import (
     EvidenceResult,
     UniformJointPrior,
     UniformPriorL,
     UniformPriorW,
+    UniformJointPosterior,
     _tail_linear,
-    _tail_linear_quad,
     _tail_square,
-    _tail_square_quad,
     evidence_C,
     noninformative,
     posterior_joint,
@@ -252,12 +253,20 @@ class TestEvidence:
 
     @pytest.mark.parametrize("n_eff", [1e5, 1e6])
     def test_posterior_outside_evidence_bracket_raises(self, n_eff):
-        # w0/w_n = 0.2 and n_eff carried by the prior's pseudo-count: quad
-        # misses the mass near w = w_n (c_n = 2e-98 at 1e5, 0.0 at 1e6)
-        # where c_n must lie in [1/(N(N+1)), 1/N]
+        # w0/w_n = 0.2 with n_eff carried by the prior's pseudo-count: the
+        # evidence mass lies within ~1/N of w = w_n, and the series finds it
         prior = UniformJointPrior(w0=0.8, n0=n_eff - 3.0, l0=4.0, u0=6.0)
-        with pytest.raises(ConvergenceError, match="outside its bound"):
-            posterior_joint(prior, suff_stats([3.0, 5.0, 7.0]))
+        post = posterior_joint(prior, suff_stats([3.0, 5.0, 7.0]))
+        assert post.c_n == pytest.approx(_direct_evidence(n_eff, 0.2),
+                                         rel=EXACT_TOL)
+        assert post.c_n1 == pytest.approx(_direct_evidence(n_eff + 1.0, 0.2),
+                                          rel=EXACT_TOL)
+        # a constant outside [1/(N(N+1)), 1/N] is still refused
+        fields = dict(l_n=post.l_n, u_n=post.u_n, w0=post.w0, n_eff=n_eff,
+                      c_n1=post.c_n1)
+        for c_n in (0.5 / (n_eff * (n_eff + 1.0)), 2.0 / n_eff, 0.0):
+            with pytest.raises(ConvergenceError, match="outside its bound"):
+                UniformJointPosterior(c_n=c_n, **fields)
 
     def test_scaling_in_the_range(self):
         # C(N) in raw units scales as w_n**-N times the scaled constant
@@ -266,9 +275,16 @@ class TestEvidence:
         assert b.value == pytest.approx(a.value / 9.0, rel=1e-9)
 
     @pytest.mark.parametrize("n_eff", [1.5e4, 1e5, 1e6])
-    def test_outside_bracket_raises(self, n_eff):
+    def test_outside_bracket_raises(self, n_eff, monkeypatch):
         # the same w_n-scaled constant and bracket as posterior_joint: at
-        # w0/w_n = 0.2 quadrature returns 1.8e-19, 2e-98 and 0.0 here
+        # w0/w_n = 0.2 the series lands on the directly summed value, and
+        # an evaluator that left the bracket would be refused
+        res = evidence_C(n_eff, 0.2, 1.0)
+        assert res.value == pytest.approx(_direct_evidence(n_eff, 0.2),
+                                          rel=EXACT_TOL)
+        assert "series" in res.note and "nodes" in res.note
+        monkeypatch.setattr(conjugate_uniform, "_tail_linear",
+                            lambda order, knee, pole: 1e-3 / order ** 2)
         with pytest.raises(ConvergenceError, match="outside its bound"):
             evidence_C(n_eff, 0.2, 1.0)
 
@@ -293,16 +309,28 @@ class TestTailIntegralPaths:
         (4.0, 1.0, 0.998),
     ]
 
+    @staticmethod
+    def _reference(order, knee, pole, power):
+        """K (power 1) or Q (power 2) by adaptive quadrature of its
+        defining integral over [knee, inf)."""
+        def integrand(w):
+            return w ** (-(order + 1.0)) * (w - knee) ** power / (power * (w - pole))
+
+        value, err = integrate.quad(integrand, knee, np.inf, epsabs=1e-14,
+                                    epsrel=1e-12, limit=300)
+        assert err <= 1e-9 * max(1.0, abs(value))
+        return value
+
     def test_linear_series_matches_quadrature(self):
         for order, knee, pole in self.CASES:
             series = _tail_linear(order, knee, pole)
-            quad_value = _tail_linear_quad(order, knee, pole)
+            quad_value = self._reference(order, knee, pole, 1)
             assert series == pytest.approx(quad_value, rel=PATH_AGREEMENT_TOL)
 
     def test_square_series_matches_quadrature(self):
         for order, knee, pole in self.CASES:
             series = _tail_square(order, knee, pole)
-            quad_value = _tail_square_quad(order, knee, pole)
+            quad_value = self._reference(order, knee, pole, 2)
             assert series == pytest.approx(quad_value, rel=PATH_AGREEMENT_TOL)
 
     def test_mass_split_identity(self):
@@ -321,6 +349,125 @@ class TestTailIntegralPaths:
             _tail_linear(2.0, 1.0, 1.5)
         with pytest.raises(DomainError):
             _tail_square(0.5, 1.0, 0.2)
+
+
+def _direct_evidence(n_eff, rho):
+    """C(N) = sum_k rho**k / ((N+k)(N+k+1)) in units of w_n, summed
+    directly; at rho = 0.2 sixty terms reach far below rounding."""
+    return math.fsum(rho ** k / ((n_eff + k) * (n_eff + k + 1.0))
+                     for k in range(60))
+
+
+MP_DPS = 30  # F_3 at a = 1e7 cancels 14 digits between its Lerch terms
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_lerch(r, a):
+    """Lerch transcendent Phi(r, 1, a) = sum_k r**k / (a+k) at MP_DPS."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(MP_DPS):
+        return mp.lerchphi(mp.mpf(r), 1, mp.mpf(a))
+
+
+def _mp_series(p, a, r):
+    """F_p(a, r) = sum_k r**k / ((a+k)...(a+k+p-1)) by partial fractions
+    into Lerch transcendents, for float r and a."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(MP_DPS):
+        if r == 0.0:
+            return float(1 / mp.rf(mp.mpf(a), p))
+        return float(mp.fsum(
+            (-1) ** j / (mp.factorial(j) * mp.factorial(p - 1 - j))
+            * _mp_lerch(r, a + j) for j in range(p)))
+
+
+SERIES_ORDERS = [1.01, 2.0, 30.0, 301.0, 3001.0, 1e5, 1e7]
+SERIES_RATIOS = [0.0, 0.2, 0.5, 0.9, 0.999, 0.9995, 1.0 - 1e-6, 1.0 - 1e-10]
+
+
+class TestPositiveSeries:
+    """C, K and Q against mpmath over counts 1 to 1e7 and ratios up to
+    1 - 1e-10, where the terms decay only like 1/k**2."""
+
+    @pytest.mark.parametrize("a", SERIES_ORDERS)
+    def test_against_mpmath(self, a):
+        # C(a) = K(a, 1) = F_2(a, r) and Q(a+1, 1) = F_3(a, r)
+        for r in SERIES_RATIOS:
+            f2, f3 = _mp_series(2, a, r), _mp_series(3, a, r)
+            if r > 0.0:
+                assert evidence_C(a, r, 1.0).value == pytest.approx(
+                    f2, rel=EXACT_TOL), r
+            assert _tail_linear(a, 1.0, r) == pytest.approx(f2, rel=EXACT_TOL), r
+            assert _tail_square(a + 1.0, 1.0, r) == pytest.approx(
+                f3, rel=EXACT_TOL), r
+
+    @pytest.mark.parametrize("m, s, rho", [
+        (2.5, 1.5, 0.9995), (31.0, 4.0, 0.3), (302.0, 1.001, 0.9995),
+        (302.0, 1.5, 1.0)])
+    def test_knee_beyond_the_range(self, m, s, rho):
+        # K(m, s) = s**-m F_2(m, rho/s), Q(m, s) = s**(1-m) F_3(m-1, rho/s)
+        r = rho / s
+        assert _tail_linear(m, s, rho) == pytest.approx(
+            s ** -m * _mp_series(2, m, r), rel=EXACT_TOL)
+        assert _tail_square(m, s, rho) == pytest.approx(
+            s ** (1.0 - m) * _mp_series(3, m - 1.0, r), rel=EXACT_TOL)
+
+    def test_fractional_order_below_one(self):
+        for r in (0.0, 0.5, 0.999):
+            assert _tail_square(1.01, 1.0, r) == pytest.approx(
+                _mp_series(3, 0.01, r), rel=EXACT_TOL)
+
+    @pytest.mark.parametrize("n_eff", [1e5, 1e6, 1e7])
+    def test_fit_at_large_counts(self, n_eff):
+        prior = UniformJointPrior(w0=0.8, n0=n_eff - 3.0, l0=4.0, u0=6.0)
+        post = posterior_joint(prior, suff_stats([3.0, 5.0, 7.0]))
+        assert post.w0 / post.w_n == 0.2
+        assert post.c_n == pytest.approx(_mp_series(2, n_eff, 0.2), rel=EXACT_TOL)
+        assert post.c_n1 == pytest.approx(_mp_series(2, n_eff + 1.0, 0.2),
+                                          rel=EXACT_TOL)
+        pred = predictive_joint(post)
+        assert pred.cdf(5.0) == pytest.approx(0.5, abs=EXACT_TOL)
+        assert pred.quantile(0.5) == pytest.approx(5.0, abs=EXACT_TOL)
+
+    def test_worked_evidence_at_1e5(self):
+        assert evidence_C(1e5, 0.2, 1.0).value == pytest.approx(
+            1.24998125035937e-10, rel=1e-13)
+
+    def test_midpoint_cdf_near_the_pole(self):
+        # w0/w_n = 0.9995 at n_eff ~ 1e4: the cdf at (l_n+u_n)/2 is 1/2
+        data = np.linspace(3.0, 7.0, 10_000)
+        prior = UniformJointPrior(w0=0.9995 * 4.0, n0=2.0, l0=4.0, u0=6.0)
+        pred = predictive_joint(posterior_joint(prior, suff_stats(data)))
+        assert pred.cdf(5.0) == pytest.approx(0.5, abs=EXACT_TOL)
+        below, above = pred.cdf(3.0), pred.cdf(7.0)
+        assert below + (1.0 - above) + 4.0 * pred.flat_level == pytest.approx(
+            1.0, abs=EXACT_TOL)
+
+    @pytest.mark.parametrize("ratio", [0.2, 0.9995, 1.0])
+    def test_arrays_match_points(self, ratio):
+        prior = UniformJointPrior(w0=ratio * 4.0, n0=2.0, l0=4.0, u0=6.0)
+        post = posterior_joint(prior, suff_stats([3.0, 3.5, 6.2, 7.0]))
+        pred = predictive_joint(post)
+        xs = np.linspace(1.0, 9.0, 41)
+        ws = np.linspace(3.5, 12.0, 23)
+        ps = np.linspace(0.01, 0.99, 17)
+        for call, args in ((pred.pdf, xs), (pred.log_pdf, xs), (pred.cdf, xs),
+                           (pred.quantile, ps), (post.width_cdf, ws)):
+            whole = call(args)
+            assert whole.shape == args.shape
+            np.testing.assert_array_equal(whole, [call(v) for v in args])
+            assert isinstance(call(args[0]), float)
+        assert pred.cdf(xs.reshape(41, 1)).shape == (41, 1)
+        assert post.width_cdf(ws.reshape(23, 1)).shape == (23, 1)
+
+    def test_flat_middle_is_exactly_constant(self):
+        prior = UniformJointPrior(w0=0.9995 * 4.0, n0=2.0, l0=4.0, u0=6.0)
+        pred = predictive_joint(posterior_joint(prior, suff_stats([3.0, 7.0])))
+        inner = pred.pdf(np.linspace(3.0, 7.0, 101))
+        assert np.all(inner == pred.flat_level)
+        cdf = pred.cdf(np.linspace(-20.0, 30.0, 2001))
+        assert cdf.min() >= 0.0 and cdf.max() <= 1.0
+        assert np.all(np.diff(cdf) >= -1e-15)
 
 
 class TestJointPosterior:

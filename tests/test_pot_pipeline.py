@@ -138,6 +138,11 @@ class TestSuffStatsContract:
         with pytest.raises(DomainError, match="sum_log"):
             SuffStats(**fields)
 
+    def test_min_at_most_max(self):
+        with pytest.raises(DomainError, match="exceeds max"):
+            SuffStats(**{**self.GOOD, "min": 2.5, "max": 1.0})
+        assert SuffStats(**{**self.GOOD, "min": 2.0, "max": 2.0}).min == 2.0
+
     def test_overflowing_sum(self):
         big = suff_stats([1e308])
         with pytest.raises(DomainError, match="finite"):
