@@ -10,10 +10,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
 import sys
+from operator import itemgetter, methodcaller
 
 import numpy as np
 
@@ -74,10 +76,32 @@ def _to_number(raw: str, path: str, line_no: int) -> float:
     return value
 
 
-def _ingest_csv(path: str, column: str | None) -> list[float]:
-    with open(path, newline="") as handle:
-        rows = [(i, row) for i, row in enumerate(csv.reader(handle), start=1)
+def _read_text(path: str, what: str) -> str:
+    """The whole file as UTF-8 text; an absent, unreadable or undecodable
+    file is a data error that names it."""
+    if not os.path.exists(path):
+        raise DataError(f"{what} not found: {path}")
+    try:
+        with open(path, "rb") as handle:
+            raw = handle.read()
+    except OSError as exc:
+        raise DataError(f"{what} {path} cannot be read: {exc.strerror}") from None
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path} line {line_no}: not UTF-8 text: {exc.reason}") from None
+
+
+def _ingest_csv(text: str, path: str, column: str | None) -> list[float]:
+    """Row-by-row CSV parser: the reference for the vectorised pass and the
+    source of every line-numbered error."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = [(i, row) for i, row in enumerate(reader, start=1)
                 if any(cell.strip() for cell in row)]
+    except csv.Error as exc:
+        raise DataError(f"{path} line {reader.line_num}: {exc}") from None
     if not rows:
         return []
     if column is not None:
@@ -106,41 +130,117 @@ def _ingest_csv(path: str, column: str | None) -> list[float]:
     return values
 
 
-def _ingest_jsonl(path: str, field: str | None) -> list[float]:
+def _ingest_jsonl(text: str, path: str, field: str | None) -> list[float]:
+    """Line-by-line JSONL parser: the reference for the vectorised pass and
+    the source of every line-numbered error."""
     values = []
-    with open(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path} line {line_no}: invalid JSON: {exc}") from None
-            if isinstance(obj, dict):
-                if field is None:
-                    raise UsageError(f"{path} line {line_no}: objects need --field")
-                if field not in obj:
-                    raise DataError(f"{path} line {line_no}: field {field!r} missing")
-                obj = obj[field]
-            if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-                raise DataError(f"{path} line {line_no}: not a number: {obj!r}")
-            if not math.isfinite(float(obj)):
-                raise DataError(f"{path} line {line_no}: non-finite value: {obj!r}")
-            values.append(float(obj))
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:
+            raise DataError(f"{path} line {line_no}: invalid JSON: {exc}") from None
+        if isinstance(obj, dict):
+            if field is None:
+                raise UsageError(f"{path} line {line_no}: objects need --field")
+            if field not in obj:
+                raise DataError(f"{path} line {line_no}: field {field!r} missing")
+            obj = obj[field]
+        if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+            raise DataError(f"{path} line {line_no}: not a number: {obj!r}")
+        try:
+            value = float(obj)
+        except OverflowError:
+            raise DataError(f"{path} line {line_no}: number out of float range") from None
+        if not math.isfinite(value):
+            raise DataError(f"{path} line {line_no}: non-finite value: {obj!r}")
+        values.append(value)
     return values
+
+
+def _csv_cells(text: str, column: str | None):
+    """The value cells of a CSV with no quote or carriage return, where a
+    row is the line split at commas, exactly as ``csv.reader`` splits it;
+    None where only the row parser can tell."""
+    if '"' in text or "\r" in text:
+        return None
+    rows = list(filter(str.strip, text.split("\n")))
+    # csv.reader refuses a field longer than its limit
+    if not rows or max(map(len, rows)) > csv.field_size_limit():
+        return None
+    if column is None:
+        # which cell of a row like "1.5," is the value is the row parser's rule
+        if "," in text:
+            return None
+        try:
+            float(rows[0])
+        except ValueError:
+            # a lone non-numeric first row is a header, not data
+            del rows[0]
+        return rows
+    header = [cell.strip() for cell in rows[0].split(",")]
+    # a header of blank cells is a row the row parser skips
+    if column not in header or not any(header):
+        return None
+    # a row of blank cells, kept here but skipped by the row parser, gives a
+    # blank cell or none, and either sends the file to the row parser
+    split = map(methodcaller("split", ","), rows[1:])
+    try:
+        return list(map(itemgetter(header.index(column)), split))
+    except IndexError:
+        return None
+
+
+def _jsonl_numbers(text: str, field: str | None):
+    """The values of a JSONL file of bare numbers, parsed as one JSON
+    array; None where only the row parser can tell."""
+    if field is not None or "\r" in text:
+        return None
+    lines = list(filter(str.strip, text.split("\n")))
+    try:
+        values = json.loads("[" + ",".join(lines) + "]")
+    except ValueError:
+        return None
+    # Joined lines can merge into one list, object or string, never into one
+    # number, so as many numbers as lines means each line held one number.
+    if len(values) != len(lines) or not set(map(type, values)) <= {int, float}:
+        return None
+    return values
+
+
+def _ingest_fast(text: str, fmt: str, column: str | None,
+                 field: str | None) -> list[float] | None:
+    """The vectorised pass: Python's ``float`` on every value cell at once
+    and one finiteness check; None where only the row parser can tell."""
+    cells = _csv_cells(text, column) if fmt == "csv" else _jsonl_numbers(text, field)
+    if cells is None:
+        return None
+    try:
+        values = np.fromiter(map(float, cells), float, len(cells))
+    except (ValueError, OverflowError):
+        return None
+    return values.tolist() if np.isfinite(values).all() else None
 
 
 def ingest(path: str, fmt: str | None = None, column: str | None = None,
            field: str | None = None) -> list[float]:
-    """Read one numeric series from a CSV or JSONL file, order-preserving."""
-    if not os.path.exists(path):
-        raise DataError(f"data file not found: {path}")
+    """Read one numeric series from a CSV or JSONL file, order-preserving.
+
+    Plain files are read in one vectorised pass; any file that pass cannot
+    vouch for goes to the row parser, which returns the same values or
+    names the offending line.
+    """
+    text = _read_text(path, "data file")
     if fmt is None:
         fmt = "jsonl" if path.endswith((".jsonl", ".json")) else "csv"
+    values = _ingest_fast(text, fmt, column, field)
+    if values is not None:
+        return values
     if fmt == "csv":
-        return _ingest_csv(path, column)
-    return _ingest_jsonl(path, field)
+        return _ingest_csv(text, path, column)
+    return _ingest_jsonl(text, path, field)
 
 
 def _json_number(value):
@@ -190,13 +290,11 @@ def load_document(path: str) -> FittedModel:
     sufficient statistics, which hold the whole conjugate fit; the
     posterior and top-level known blocks are a record of the fit that
     nothing reads."""
-    if not os.path.exists(path):
-        raise DataError(f"state file not found: {path}")
-    with open(path) as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"state file {path} is not valid JSON: {exc}") from None
+    text = _read_text(path, "state file")
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise DataError(f"state file {path} is not valid JSON: {exc}") from None
     try:
         if doc["schema_version"] != SCHEMA_VERSION:
             raise DataError(f"state file {path} has unsupported schema_version "

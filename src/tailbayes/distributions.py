@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, UnsupportedMappingError
 
@@ -351,7 +350,11 @@ class Uniform(Distribution):
 
 @dataclass(frozen=True)
 class Gamma(Distribution):
-    """Gamma in shape/rate form: density ~ x**(shape-1) * exp(-rate*x)."""
+    """Gamma in shape/rate form: density ~ x**(shape-1) * exp(-rate*x).
+
+    scipy is imported inside the methods that need it, so that importing
+    this package, and starting the CLI, does not pay for loading it.
+    """
 
     shape: float
     rate: float
@@ -364,6 +367,8 @@ class Gamma(Distribution):
         return (0.0, math.inf)
 
     def log_pdf(self, x):
+        from scipy import special
+
         xa = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             body = (
@@ -382,10 +387,14 @@ class Gamma(Distribution):
         return _ret(x, out)
 
     def cdf(self, x):
+        from scipy import special
+
         xa = np.asarray(x, dtype=float)
         return _ret(x, special.gammainc(self.shape, self.rate * np.maximum(xa, 0.0)))
 
     def _inv(self, p):
+        from scipy import special
+
         return special.gammaincinv(self.shape, np.asarray(p, dtype=float)) / self.rate
 
     def mean(self) -> float:

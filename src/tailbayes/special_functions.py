@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConvergenceError, DomainError
 
@@ -28,6 +27,7 @@ def upper_inc_gamma_neg(order: float, y: float) -> float:
         raise DomainError("lower limit y must be positive")
     if order > 0:
         raise DomainError("only non-positive order is supported here")
+    from scipy import integrate  # here, not at import: see distributions.Gamma
 
     def scaled(u):
         # (t/y)**(order-1) * exp(-(t-y)) with t = y + u; O(1) on [0, inf)

@@ -8,12 +8,15 @@ console script.
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import tailbayes
 from tailbayes import cli
 from tailbayes import conjugate_exponential as cexp
 from tailbayes import conjugate_pareto as cpar
@@ -23,6 +26,15 @@ from tailbayes.errors import DataError, DomainError, UsageError
 from tailbayes.pot_pipeline import CELLS, ModelSpec, fit, suff_stats
 
 EXACT_TOL = 1e-12
+SRC = Path(tailbayes.__file__).resolve().parents[1]
+REPO = SRC.parent
+
+
+def run_python(args, **kwargs):
+    """Run a fresh interpreter that imports tailbayes from this tree."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, **kwargs)
 
 
 def write_lines(path, values):
@@ -97,6 +109,109 @@ class TestIngest:
     def test_order_preserved(self, tmp_path):
         path = write_lines(tmp_path / "d.csv", [5.0, 1.0, 3.0])
         assert cli.ingest(path) == [5.0, 1.0, 3.0]
+
+
+def _outcome(call):
+    """A parse's values as float64 bit patterns, or its exception."""
+    try:
+        values = call()
+    except (DataError, UsageError) as exc:
+        return type(exc), str(exc)
+    return np.array(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def _row_parser(text, path, fmt, column, field):
+    if fmt == "csv":
+        return cli._ingest_csv(text, path, column)
+    return cli._ingest_jsonl(text, path, field)
+
+
+INGEST_CORPUS = [
+    # (name, fmt, column, field, text, vectorised pass expected to take it)
+    ("header", "csv", None, None, "price\n1.5\n2.5\n", True),
+    ("no_header", "csv", None, None, "1.5\n2.5\n3e-3\n", True),
+    ("no_final_newline", "csv", None, None, "1.5\n2.5", True),
+    ("header_only", "csv", None, None, "price\n", True),
+    ("empty", "csv", None, None, "", False),
+    ("blank_rows", "csv", None, None, "\n1.5\n\n   \n\t\n2.5\n\n", True),
+    ("comma_rows", "csv", None, None, "1.5\n,,\n2.5\n", False),
+    ("trailing_comma", "csv", None, None, "1.5,\n 2.5 ,\n", False),
+    ("crlf", "csv", None, None, "price\r\n1.5\r\n2.5\r\n", False),
+    ("lone_cr", "csv", None, None, "1.5\r2.5\r", False),
+    ("quoted", "csv", None, None, '"1.5"\n"2.5"\n', False),
+    ("python_float_grammar", "csv", None, None,
+     "price\n 1.5 \n+1\n1_000\n-0.0\n1E5\n", True),
+    ("nan_on_line_3", "csv", None, None, "1\n2\nnan\n4\n", False),
+    ("inf_on_line_2", "csv", None, None, "1\ninf\n", False),
+    ("bad_cell_on_line_3", "csv", None, None, "price\n1\nbanana\n", False),
+    ("second_non_number", "csv", None, None, "1\nprice\n", False),
+    ("many_columns", "csv", None, None, "1,2\n3,4\n", False),
+    ("column", "csv", "price", None,
+     "id,price,qty\n1, 10.5 ,3\n2,20.5,4\n", True),
+    ("column_blank_rows", "csv", "v", None, "id,v\n1,2\n,,\n \n3,4\n", False),
+    ("column_blank_header_row", "csv", "", None, ",\n5,6\n7,8\n", False),
+    ("column_short_row", "csv", "price", None, "id,price\n1,2\n3\n", False),
+    ("column_missing", "csv", "weight", None, "id,price\n1,2\n", False),
+    ("column_quoted", "csv", "v", None, 'id,v\n"a,b",2.5\n', False),
+    ("column_nan", "csv", "v", None, "id,v\n1,2\n2,nan\n", False),
+    ("jsonl_ints_floats", "jsonl", None, None, "1\n2.5\n-3\n1e-3\n-0\n", True),
+    ("jsonl_blank_lines", "jsonl", None, None, "\n 1 \n\n\t2\n", True),
+    ("jsonl_true", "jsonl", None, None, "1\ntrue\n", False),
+    ("jsonl_null", "jsonl", None, None, "1\nnull\n", False),
+    ("jsonl_string", "jsonl", None, None, '1\n"2"\n', False),
+    ("jsonl_nan", "jsonl", None, None, "1\nNaN\n", False),
+    ("jsonl_huge_float", "jsonl", None, None, "1\n1e400\n", False),
+    ("jsonl_huge_int", "jsonl", None, None, "1\n" + "1" * 400 + "\n", False),
+    ("jsonl_two_per_line", "jsonl", None, None, "1, 2\n3\n", False),
+    ("jsonl_list_across_lines", "jsonl", None, None, "[1\n2]\n", False),
+    ("jsonl_crlf", "jsonl", None, None, "1\r\n2\r\n", False),
+    ("jsonl_objects_need_field", "jsonl", None, None, '1.5\n{"ms": 2.5}\n', False),
+    ("jsonl_field", "jsonl", None, "ms", '1.5\n{"ms": 2.5}\n{"ms": 3}\n', False),
+    ("jsonl_field_missing", "jsonl", None, "ms", '{"ms": 1}\n{"x": 2}\n', False),
+    ("jsonl_joined_objects", "jsonl", None, "v",
+     '{"v":1},{"v":2}\n{"v":3,"x":[1\n2]}\n', False),
+]
+
+
+class TestIngestParity:
+    """The vectorised pass agrees bit for bit with the row parser, and
+    hands every file it cannot vouch for to the row parser."""
+
+    @pytest.mark.parametrize("name,fmt,column,field,text,fast",
+                             INGEST_CORPUS, ids=[c[0] for c in INGEST_CORPUS])
+    def test_same_values_or_same_error(self, tmp_path, name, fmt, column,
+                                       field, text, fast):
+        path = tmp_path / f"data.{fmt}"
+        path.write_bytes(text.encode())
+        want = _outcome(lambda: _row_parser(text, str(path), fmt, column, field))
+        vectorised = cli._ingest_fast(text, fmt, column, field)
+        assert (vectorised is not None) == fast
+        if vectorised is not None:
+            assert _outcome(lambda: vectorised) == want
+        assert _outcome(lambda: cli.ingest(str(path), fmt, column, field)) == want
+
+    def test_joined_objects_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "joined.jsonl"
+        path.write_text('{"v":1},{"v":2}\n{"v":3,"x":[1\n2]}\n')
+        rc = cli.main(["fit", "--family", "pareto", "--case", "shape",
+                       "--noninformative", "--known", "l=0.5",
+                       "--data", str(path), "--field", "v"])
+        assert rc == 3
+        assert "line 1: invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_bulk_file_sufficient_statistics(self, tmp_path, fmt):
+        values = (2.0 * np.random.default_rng(8).random(50_000) ** -0.6).tolist()
+        lines = [repr(v) for v in values]
+        if fmt == "csv":
+            lines.insert(0, "latency_ms")
+        text = "\n".join(lines) + "\n"
+        path = tmp_path / f"bulk.{fmt}"
+        path.write_text(text)
+        reference = _row_parser(text, str(path), fmt, None, None)
+        assert reference == values
+        assert cli._ingest_fast(text, fmt, None, None) is not None
+        assert suff_stats(cli.ingest(str(path))) == suff_stats(reference)
 
 
 class TestStateRoundTrip:
@@ -455,6 +570,53 @@ class TestExitCodes:
         path.write_text('{"schema_version": 1}')
         assert cli.main(["predict", "--state", str(path)]) == 3
 
+    def test_non_utf8_data_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"1.5\n2.5\ncaf\xe9\n")
+        rc = cli.main(["fit", "--family", "pareto", "--case", "location",
+                       "--prior", "l0=100,n0=1,alpha=1.2", "--data", str(path)])
+        assert rc == 3
+        assert f"{path} line 3: not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--data", "--holdout", "--state"])
+    def test_directory_as_input(self, tmp_path, laptop_state, laptop_csv,
+                                capsys, flag):
+        argv = {
+            "--data": ["fit", "--family", "pareto", "--case", "location",
+                       "--prior", "l0=100,n0=1,alpha=1.2", "--data", str(tmp_path)],
+            "--holdout": ["validate", "--state", str(laptop_state),
+                          "--holdout", str(tmp_path)],
+            "--state": ["predict", "--state", str(tmp_path)],
+        }[flag]
+        assert cli.main(argv) == 3
+        assert f"{tmp_path} cannot be read" in capsys.readouterr().err
+
+    def test_csv_cell_over_field_limit(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("1.5\n" + "0" * 131_072 + "1\n")
+        rc = cli.main(["fit", "--family", "pareto", "--case", "location",
+                       "--prior", "l0=100,n0=1,alpha=1.2", "--data", str(path)])
+        assert rc == 3
+        assert f"{path} line 2: field larger than field limit" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("digits,message", [(400, "number out of float range"),
+                                                (5000, "invalid JSON")])
+    def test_jsonl_integer_beyond_float_range(self, tmp_path, capsys, digits,
+                                              message):
+        path = tmp_path / "big.jsonl"
+        path.write_text("1\n" + "1" * digits + "\n")
+        rc = cli.main(["fit", "--family", "pareto", "--case", "location",
+                       "--prior", "l0=100,n0=1,alpha=1.2", "--data", str(path)])
+        assert rc == 3
+        assert f"{path} line 2: {message}" in capsys.readouterr().err
+
+    def test_non_utf8_state_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"schema_version": 1,\n"caf\xe9": 1}\n')
+        assert cli.main(["predict", "--state", str(path)]) == 3
+        assert f"{path} line 2: not UTF-8" in capsys.readouterr().err
+
     def test_simulate_without_seed(self, capsys):
         rc = cli.main(["simulate", "--family", "uniform",
                        "--params", "l=0,u=1"])
@@ -644,3 +806,64 @@ class TestSimulate:
             capture_output=True, text=True)
         assert result.returncode == 0
         assert len(result.stdout.splitlines()) == 5
+
+
+class TestStartup:
+    """Commands that need no special function never load scipy, and the
+    functions that do need it give the same values when they load it."""
+
+    def test_cli_loads_no_scipy(self, tmp_path, laptop_csv):
+        code = f"""
+import json, sys
+from tailbayes import cli
+try:
+    cli.main(["--help"])
+except SystemExit:
+    pass
+rc = cli.main(["fit", "--family", "pareto", "--case", "shape",
+               "--prior", "g0=3,n0=4", "--known", "l=2",
+               "--data", {laptop_csv!r}, "--out", {str(tmp_path / "s.json")!r}])
+print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
+        result = run_python(["-c", code])
+        assert result.returncode == 0, result.stderr
+        rc, scipy_modules = json.loads(result.stdout.splitlines()[-1])
+        assert rc == 0
+        assert scipy_modules == []
+
+    def test_lazy_scipy_gives_the_same_values(self):
+        code = """
+import json, sys
+from tailbayes import Gamma, upper_inc_gamma_neg
+assert "scipy" not in sys.modules
+g = Gamma(shape=2.5, rate=1.5)
+print(json.dumps([g.cdf([0.5, 1.0, 4.0]).tolist(),
+                  g.quantile([0.1, 0.5, 0.9]).tolist(),
+                  g.log_pdf([0.5, 1.0, 4.0]).tolist(),
+                  [upper_inc_gamma_neg(-0.5, 2.0), upper_inc_gamma_neg(0.0, 0.3)]]))
+"""
+        result = run_python(["-c", code])
+        assert result.returncode == 0, result.stderr
+        from scipy import special
+
+        from tailbayes import Gamma, upper_inc_gamma_neg
+        g = Gamma(shape=2.5, rate=1.5)
+        x, p = np.array([0.5, 1.0, 4.0]), np.array([0.1, 0.5, 0.9])
+        assert json.loads(result.stdout) == [
+            special.gammainc(2.5, 1.5 * x).tolist(),
+            (special.gammaincinv(2.5, p) / 1.5).tolist(),
+            g.log_pdf(x).tolist(),
+            [upper_inc_gamma_neg(-0.5, 2.0), upper_inc_gamma_neg(0.0, 0.3)]]
+
+
+class TestDemos:
+    @pytest.mark.parametrize("argv", [
+        ["scripts/german_tank_demo.py", "--n", "12", "--true-max", "2000",
+         "--seed", "7"],
+        ["scripts/pot_latency_demo.py", "--n", "5000", "--k", "100",
+         "--seed", "11"],
+    ], ids=["german_tank", "pot_latency"])
+    def test_readme_demo_runs(self, argv):
+        result = run_python(argv, cwd=REPO)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout
