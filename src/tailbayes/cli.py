@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from operator import itemgetter, methodcaller
 
 import numpy as np
 
@@ -89,8 +88,19 @@ def _read_text(path: str, what: str) -> str:
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_no = raw.count(b"\n", 0, exc.start) + 1
+        # lines end at \n, \r or \r\n, as the row parsers split them
+        head = raw[:exc.start].decode("utf-8")
+        line_no = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
         raise DataError(f"{path} line {line_no}: not UTF-8 text: {exc.reason}") from None
+
+
+def _is_header(cell: str) -> bool:
+    """A lone non-numeric first row is a header, not data."""
+    try:
+        float(cell)
+    except ValueError:
+        return True
+    return False
 
 
 def _ingest_csv(text: str, path: str, column: str | None) -> list[float]:
@@ -120,12 +130,8 @@ def _ingest_csv(text: str, path: str, column: str | None) -> list[float]:
         cells = [cell for cell in row if cell.strip()]
         if len(cells) != 1:
             raise UsageError(f"{path} line {line_no}: multiple columns; pass --column")
-        if pos == 0:
-            # a lone non-numeric first row is a header, not data
-            try:
-                float(cells[0])
-            except ValueError:
-                continue
+        if pos == 0 and _is_header(cells[0]):
+            continue
         values.append(_to_number(cells[0], path, line_no))
     return values
 
@@ -161,36 +167,16 @@ def _ingest_jsonl(text: str, path: str, field: str | None) -> list[float]:
 
 
 def _csv_cells(text: str, column: str | None):
-    """The value cells of a CSV with no quote or carriage return, where a
-    row is the line split at commas, exactly as ``csv.reader`` splits it;
-    None where only the row parser can tell."""
-    if '"' in text or "\r" in text:
+    """The value cells of a one-column CSV with no comma, quote or carriage
+    return, where a cell is the line itself, exactly as ``csv.reader`` reads
+    it; None where only the row parser can tell."""
+    if column is not None or any(c in text for c in ',"\r'):
         return None
     rows = list(filter(str.strip, text.split("\n")))
     # csv.reader refuses a field longer than its limit
     if not rows or max(map(len, rows)) > csv.field_size_limit():
         return None
-    if column is None:
-        # which cell of a row like "1.5," is the value is the row parser's rule
-        if "," in text:
-            return None
-        try:
-            float(rows[0])
-        except ValueError:
-            # a lone non-numeric first row is a header, not data
-            del rows[0]
-        return rows
-    header = [cell.strip() for cell in rows[0].split(",")]
-    # a header of blank cells is a row the row parser skips
-    if column not in header or not any(header):
-        return None
-    # a row of blank cells, kept here but skipped by the row parser, gives a
-    # blank cell or none, and either sends the file to the row parser
-    split = map(methodcaller("split", ","), rows[1:])
-    try:
-        return list(map(itemgetter(header.index(column)), split))
-    except IndexError:
-        return None
+    return rows[1:] if _is_header(rows[0]) else rows
 
 
 def _jsonl_numbers(text: str, field: str | None):

@@ -147,7 +147,7 @@ INGEST_CORPUS = [
     ("second_non_number", "csv", None, None, "1\nprice\n", False),
     ("many_columns", "csv", None, None, "1,2\n3,4\n", False),
     ("column", "csv", "price", None,
-     "id,price,qty\n1, 10.5 ,3\n2,20.5,4\n", True),
+     "id,price,qty\n1, 10.5 ,3\n2,20.5,4\n", False),
     ("column_blank_rows", "csv", "v", None, "id,v\n1,2\n,,\n \n3,4\n", False),
     ("column_blank_header_row", "csv", "", None, ",\n5,6\n7,8\n", False),
     ("column_short_row", "csv", "price", None, "id,price\n1,2\n3\n", False),
@@ -570,9 +570,11 @@ class TestExitCodes:
         path.write_text('{"schema_version": 1}')
         assert cli.main(["predict", "--state", str(path)]) == 3
 
-    def test_non_utf8_data_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_non_utf8_data_file(self, tmp_path, capsys, newline):
         path = tmp_path / "latin1.csv"
-        path.write_bytes(b"1.5\n2.5\ncaf\xe9\n")
+        path.write_bytes(newline.join([b"1.5", b"2.5", b"caf\xe9", b""]))
         rc = cli.main(["fit", "--family", "pareto", "--case", "location",
                        "--prior", "l0=100,n0=1,alpha=1.2", "--data", str(path)])
         assert rc == 3
