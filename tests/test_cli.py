@@ -801,11 +801,10 @@ class TestSimulate:
         assert "needs exactly" in capsys.readouterr().err
 
     def test_console_script_smoke(self, tmp_path):
-        result = subprocess.run(
-            [sys.executable, "-m", "tailbayes.cli", "simulate",
+        result = run_python(
+            ["-m", "tailbayes.cli", "simulate",
              "--family", "uniform", "--params", "l=0,u=1",
-             "--n", "5", "--seed", "3"],
-            capture_output=True, text=True)
+             "--n", "5", "--seed", "3"])
         assert result.returncode == 0
         assert len(result.stdout.splitlines()) == 5
 

@@ -10,6 +10,7 @@ defining mixture.
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from tailbayes.conjugate_uniform import (
     UniformPriorL,
     UniformPriorW,
     UniformJointPosterior,
+    _nodes,
+    _series,
     _tail_linear,
     _tail_square,
     evidence_C,
@@ -470,6 +473,62 @@ class TestPositiveSeries:
         assert np.all(np.diff(cdf) >= -1e-15)
 
 
+def _loop_series(p, a, r, r_max):
+    """F_p(a, r) by one pass per node, left to right: the order of
+    additions that _series must keep, bit for bit."""
+    r = np.asarray(r, dtype=float)
+    x, c = _nodes(p, a, r_max)
+    gap = 1.0 - r
+    total = np.zeros(r.shape)
+    for xk, ck in zip(x, c):
+        total += ck / (gap + r * xk)
+    return total
+
+
+class TestSeriesEvaluator:
+    """_series takes many nodes per numpy call; its values must stay those
+    of the node-by-node loop, whatever the number of points."""
+
+    SHAPES = [(), (0,), (1,), (2,), (3,), (20,), (500,), (9000,), (41, 1)]
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("a", [1.01, 5.0, 3001.0, 1e7])
+    @pytest.mark.parametrize("r_max", [0.0, 0.5, 0.9995, 1.0])
+    def test_bits_match_the_node_loop(self, p, a, r_max):
+        rng = np.random.default_rng([p, int(a), int(1e4 * r_max)])
+        for shape in self.SHAPES:
+            r = r_max * rng.random(shape)
+            if r.size:
+                r.flat[0] = r_max
+            got = _series(p, a, r, r_max)
+            want = _loop_series(p, a, r, r_max)
+            assert got.shape == want.shape == np.shape(r), shape
+            assert np.array_equal(got, want), shape
+            if r.size:
+                assert _series(p, a, r.flat[-1], r_max) == got.flat[-1], shape
+
+    def test_nodes_are_memoised_and_read_only(self):
+        x, c = _nodes(3, 5.0, 0.5)
+        again = _nodes(3, 5.0, 0.5)
+        assert again[0] is x and again[1] is c
+        for arr in (x, c):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("r_max", [0.5, 0.9995])
+    def test_memory_bounded_by_the_points(self, r_max):
+        # the node count (112 at 0.5, 256 at 0.9995) must not multiply it
+        r = np.linspace(0.0, r_max, 1_000_000)
+        _series(3, 5.0, r[:1], r_max)
+        tracemalloc.start()
+        try:
+            _series(3, 5.0, r, r_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * r.nbytes
+
+
 class TestJointPosterior:
     PRIOR = UniformJointPrior(w0=1.0, n0=1.0, l0=0.0, u0=1.0)
     DATA = [0.2, 2.5, 1.0]
@@ -503,6 +562,32 @@ class TestJointPosterior:
             assert post.width_cdf(w) == pytest.approx(mass, abs=1e-9)
         assert post.width_cdf(post.w_n) == 0.0
         assert post.width_cdf(1e9) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n_eff", [5.0, 300.0, 1e5])
+    @pytest.mark.parametrize("ratio", [0.2, 0.5, 0.9995, 1.0])
+    def test_width_cdf_relative_accuracy_above_w_n(self, n_eff, ratio):
+        # the mass within w_n * 10**-k of w_n, against mpmath's integral of
+        # the width density over [w_n, w] at the exact float w
+        mp = pytest.importorskip("mpmath").mp
+        prior = UniformJointPrior(w0=ratio * 3.7, n0=n_eff - 2.0, l0=1.0,
+                                  u0=4.7)
+        post = posterior_joint(prior, suff_stats([1.0, 4.7]))
+        rho, w_n = post.w0 / post.w_n, post.w_n
+        with mp.workdps(MP_DPS):
+            evidence = (1 / mp.mpf(n_eff) if rho == 1.0
+                        else mp.mpf(_mp_series(2, n_eff, rho)))
+
+            def density(v):
+                body = 1 if rho == 1.0 else (v - 1) / (v - rho)
+                return v ** -(n_eff + 1) * body
+
+            for k in (12, 9, 6, 3):
+                w = w_n * (1.0 + 10.0 ** -k)
+                s = mp.mpf(w) / mp.mpf(w_n)
+                cuts = [1 + (s - 1) * f for f in (0, 1e-4, 1e-3, 1e-2, 0.1, 1)]
+                mass = float(mp.quad(density, cuts) / evidence)
+                assert post.width_cdf(w) == pytest.approx(
+                    mass, rel=EXACT_TOL, abs=0.0), k
 
     def test_conditional_location(self):
         post = self.post()
