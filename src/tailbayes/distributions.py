@@ -65,8 +65,10 @@ def _ret(x, out):
 
 
 def _check_prob(p):
+    """p as a float array; DomainError unless every entry lies strictly
+    inside (0, 1).  NaN propagates through min and max, so it is refused."""
     p = np.asarray(p, dtype=float)
-    if np.any((p <= 0.0) | (p >= 1.0)):
+    if p.size and not (0.0 < p.min() and p.max() < 1.0):
         raise DomainError("probability must lie strictly inside (0, 1)")
     return p
 
@@ -172,20 +174,19 @@ class Pareto(Distribution):
 
     def log_pdf(self, x):
         xa = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            body = (
-                math.log(self.alpha)
-                + self.alpha * math.log(self.l)
-                - (self.alpha + 1.0) * np.log(np.where(xa > 0, xa, 1.0))
-            )
-        out = np.where(xa >= self.l, body, -np.inf)
-        return _ret(x, out)
+        inside = xa >= self.l
+        body = (
+            math.log(self.alpha)
+            + self.alpha * math.log(self.l)
+            - (self.alpha + 1.0) * np.log(xa, out=np.zeros(xa.shape), where=inside)
+        )
+        return _ret(x, np.where(inside, body, -np.inf))
 
     def cdf(self, x):
         xa = np.asarray(x, dtype=float)
-        ratio = np.where(xa >= self.l, self.l / np.where(xa > 0, xa, 1.0), 1.0)
-        out = 1.0 - ratio**self.alpha
-        return _ret(x, np.where(xa >= self.l, out, 0.0))
+        # the ratio is 1 below l, so the cdf is exactly 0 there
+        ratio = np.divide(self.l, xa, out=np.ones(xa.shape), where=xa >= self.l)
+        return _ret(x, 1.0 - ratio**self.alpha)
 
     def _inv(self, p):
         return self.l * (1.0 - np.asarray(p, dtype=float)) ** (-1.0 / self.alpha)
@@ -268,25 +269,25 @@ class Power(Distribution):
 
     def log_pdf(self, x):
         xa = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            body = (
-                math.log(self.b)
-                + (self.b - 1.0) * np.log(np.where(xa > 0, xa, 1.0))
-                - self.b * math.log(self.a)
-            )
+        inside = (xa > 0) & (xa < self.a)
+        body = (
+            math.log(self.b)
+            + (self.b - 1.0) * np.log(xa, out=np.zeros(xa.shape), where=inside)
+            - self.b * math.log(self.a)
+        )
         if self.b > 1.0:
             at_zero = -np.inf
         elif self.b == 1.0:
             at_zero = -math.log(self.a)
         else:
             at_zero = np.inf
-        out = np.where((xa > 0) & (xa < self.a), body, -np.inf)
+        out = np.where(inside, body, -np.inf)
         out = np.where(xa == 0.0, at_zero, out)
         return _ret(x, out)
 
     def cdf(self, x):
         xa = np.asarray(x, dtype=float)
-        frac = np.clip(xa / self.a, 0.0, 1.0)
+        frac = (xa / self.a).clip(0.0, 1.0)
         return _ret(x, frac**self.b)
 
     def _inv(self, p):
@@ -342,7 +343,7 @@ class Uniform(Distribution):
 
     def cdf(self, x):
         xa = np.asarray(x, dtype=float)
-        return _ret(x, np.clip((xa - self.l) / (self.u - self.l), 0.0, 1.0))
+        return _ret(x, ((xa - self.l) / (self.u - self.l)).clip(0.0, 1.0))
 
     def _inv(self, p):
         return self.l + (self.u - self.l) * np.asarray(p, dtype=float)

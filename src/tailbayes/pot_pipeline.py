@@ -183,6 +183,15 @@ class FittedModel:
     stats: SuffStats
     known: Mapping[str, float]
 
+    @property
+    def predictive(self):
+        """The posterior predictive, built on first use and then kept."""
+        pred = self.__dict__.get("_predictive")
+        if pred is None:
+            pred = CELLS[(self.spec.family, self.spec.case)].predictive(self)
+            object.__setattr__(self, "_predictive", pred)   # a cache, not a field
+        return pred
+
 
 @dataclass(frozen=True)
 class SupportReport:
@@ -228,7 +237,7 @@ def fit(spec: ModelSpec, stats: SuffStats) -> FittedModel:
 
 def predict(fitted: FittedModel):
     """Posterior predictive for a fitted model."""
-    return CELLS[(fitted.spec.family, fitted.spec.case)].predictive(fitted)
+    return fitted.predictive
 
 
 def support(fitted: FittedModel) -> SupportReport:
@@ -244,7 +253,7 @@ def support(fitted: FittedModel) -> SupportReport:
     fam, case = fitted.spec.family, fitted.spec.case
     cell = CELLS[(fam, case)]
     bound, count = cell.support(fitted)
-    lo, hi = predict(fitted).support()
+    lo, hi = fitted.predictive.support()
     edge = lo if cell.direction == "lower" else hi
     return SupportReport(fam, case, bound, edge, count, cell.direction)
 
@@ -279,16 +288,20 @@ def holdout_log_predictive(predictive, holdout) -> float:
     """Summed log predictive density of held-out points.
 
     -inf signals that some point falls outside the predictive support,
-    i.e. the model is rejected by the holdout.  The sum is computed with
+    i.e. the model is rejected by the holdout.  A non-finite point raises
+    DomainError, as it does in suff_stats.  The sum is computed with
     exact accumulation, so it is invariant under permutation.
     """
     arr = np.atleast_1d(np.asarray(holdout, dtype=float))
     if arr.size == 0:
         return 0.0
-    logs = np.atleast_1d(predictive.log_pdf(arr))
-    if np.any(np.isneginf(logs)):
+    # NaN propagates through min and max
+    if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
+        raise DomainError("holdout points must be finite")
+    logs = np.atleast_1d(predictive.log_pdf(arr)).tolist()
+    if -math.inf in logs:
         return -math.inf
-    return math.fsum(logs.tolist())
+    return math.fsum(logs)
 
 
 def sequential_update(fitted: FittedModel, new_stats: SuffStats) -> FittedModel:

@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 
+_TINY = 5e-324     # the least positive float
+
+
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise DomainError(msg)
@@ -67,19 +70,20 @@ class ParetoLink(Distribution):
         xa = np.asarray(x, dtype=float)
         y = self._y(xa)
         ok = y >= self.scale
-        with np.errstate(divide="ignore", invalid="ignore"):
-            body = (
-                math.log(self.shape)
-                + self.shape * math.log(self.scale)
-                + self._log_jacobian(xa)
-                - (self.shape + 1.0) * np.log(np.where(ok, y, 1.0))
-            )
+        # fmax lifts y (NaN included) to the latent scale, where its log is
+        # finite; the points it lifts lie outside the support and read -inf
+        body = (
+            math.log(self.shape)
+            + self.shape * math.log(self.scale)
+            + self._log_jacobian(xa)
+            - (self.shape + 1.0) * np.log(np.fmax(y, self.scale))
+        )
         return _ret(x, np.where(ok, body, -np.inf))
 
     def _tail(self, x):
         """P(Y >= y(x)), which is 1 below the latent scale."""
         y = self._y(np.asarray(x, dtype=float))
-        return (self.scale / np.where(y >= self.scale, y, self.scale)) ** self.shape
+        return (self.scale / np.fmax(y, self.scale)) ** self.shape
 
     def _y_at_tail(self, q):
         """The latent y with P(Y >= y) = q."""
@@ -93,7 +97,9 @@ class ParetoLink(Distribution):
 
 
 def _log_positive(xa):
-    return np.log(np.where(xa > 0, xa, 1.0))
+    """log x for x > 0.  Elsewhere (NaN too) it is the finite log of the
+    least subnormal: the link density there is 0 whatever this reads."""
+    return np.log(np.fmax(xa, _TINY))
 
 
 class ParetoLogLink(ParetoLink):
@@ -112,8 +118,9 @@ class ParetoLogLink(ParetoLink):
         return (self.anchor * math.exp(self.scale - self.offset), math.inf)
 
     def _y(self, xa):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(xa > 0, np.log(xa / self.anchor), -np.inf) + self.offset
+        # x/anchor is 0 for non-positive x and may underflow to 0 for tiny x
+        r = xa / self.anchor
+        return np.log(r, out=np.full(r.shape, -np.inf), where=r > 0) + self.offset
 
     def _log_jacobian(self, xa):
         return -_log_positive(xa)
@@ -167,9 +174,11 @@ class ParetoNegLogLink(ParetoLink):
         return self._x(self._y_at_tail(p))
 
     def _y(self, xa):
-        # anchor/x overflows for subnormal x; log(inf) = inf is the right limit
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return np.where(xa > 0, np.log(self.anchor / np.where(xa > 0, xa, 1.0)), np.inf) + self.offset
+        # anchor/x overflows for subnormal x, where log(inf) = inf is the
+        # right limit, and is 0 at x = inf, where log(0) = -inf is
+        with np.errstate(over="ignore", divide="ignore"):
+            r = np.divide(self.anchor, xa, out=np.full(xa.shape, np.inf), where=xa > 0)
+            return np.log(r, out=r) + self.offset
 
     def _log_jacobian(self, xa):
         return -_log_positive(xa)
@@ -208,57 +217,50 @@ class Trapezoid(Distribution):
 
     def pdf(self, x):
         xa = np.asarray(x, dtype=float)
+        xc = self._clip(xa)
         h = self.height
-        r1 = self.flat_lo - self.lower
-        r2 = self.upper - self.flat_hi
-        up = h * (xa - self.lower) / r1
-        down = h * (self.upper - xa) / r2
-        out = np.where(
-            (xa >= self.lower) & (xa < self.flat_lo),
-            up,
-            np.where(
-                (xa >= self.flat_lo) & (xa < self.flat_hi),
-                h,
-                np.where((xa >= self.flat_hi) & (xa < self.upper), down, 0.0),
-            ),
-        )
+        up = h * (xc - self.lower) / (self.flat_lo - self.lower)
+        down = h * (self.upper - xc) / (self.upper - self.flat_hi)
+        # up is 0 below lower; NaN falls through to 0
+        out = np.where(xa < self.flat_lo, up,
+                       np.where(xa < self.flat_hi, h,
+                                np.where(xa < self.upper, down, 0.0)))
         return _ret(x, out)
 
+    def _clip(self, xa):
+        """x held to [lower, upper], where the ramps are read: far outside,
+        their products and squares would overflow."""
+        return xa.clip(self.lower, self.upper)
+
     def log_pdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = np.log(self.pdf(xa))
-        return _ret(x, out)
+        dens = np.asarray(self.pdf(x))
+        return _ret(x, np.log(dens, out=np.full(dens.shape, -np.inf), where=dens > 0))
 
     def cdf(self, x):
         xa = np.asarray(x, dtype=float)
+        xc = self._clip(xa)
         h = self.height
         r1 = self.flat_lo - self.lower
         r2 = self.upper - self.flat_hi
         c1 = 0.5 * h * r1
-        ramp1 = 0.5 * h * (xa - self.lower) ** 2 / r1
-        mid = c1 + h * (xa - self.flat_lo)
-        ramp2 = 1.0 - 0.5 * h * (self.upper - xa) ** 2 / r2
-        out = np.where(
-            xa < self.lower,
-            0.0,
-            np.where(
-                xa < self.flat_lo,
-                ramp1,
-                np.where(xa < self.flat_hi, mid, np.where(xa < self.upper, ramp2, 1.0)),
-            ),
-        )
+        ramp1 = 0.5 * h * (xc - self.lower) ** 2 / r1
+        mid = c1 + h * (xc - self.flat_lo)
+        ramp2 = 1.0 - 0.5 * h * (self.upper - xc) ** 2 / r2
+        # ramp1 is 0 below lower; NaN falls through to 1
+        out = np.where(xa < self.flat_lo, ramp1,
+                       np.where(xa < self.flat_hi, mid,
+                                np.where(xa < self.upper, ramp2, 1.0)))
         return _ret(x, out)
 
     def _inv(self, p):
+        # 0 < p < 1, so both square roots take positive arguments
         pa = np.asarray(p, dtype=float)
         h = self.height
         r1 = self.flat_lo - self.lower
         r2 = self.upper - self.flat_hi
         c1 = 0.5 * h * r1
         c2 = c1 + h * (self.flat_hi - self.flat_lo)
-        with np.errstate(invalid="ignore"):
-            in_ramp1 = self.lower + np.sqrt(np.maximum(2.0 * pa * r1 / h, 0.0))
-            in_mid = self.flat_lo + (pa - c1) / h
-            in_ramp2 = self.upper - np.sqrt(np.maximum(2.0 * (1.0 - pa) * r2 / h, 0.0))
+        in_ramp1 = self.lower + np.sqrt(2.0 * pa * r1 / h)
+        in_mid = self.flat_lo + (pa - c1) / h
+        in_ramp2 = self.upper - np.sqrt(2.0 * (1.0 - pa) * r2 / h)
         return np.where(pa <= c1, in_ramp1, np.where(pa <= c2, in_mid, in_ramp2))

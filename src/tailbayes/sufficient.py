@@ -74,16 +74,18 @@ def suff_stats(data) -> SuffStats:
         x = x.reshape(-1)
     if x.size == 0:
         return EMPTY
-    if not np.all(np.isfinite(x)):
+    # NaN propagates through min and max, so both are finite exactly when
+    # every datum is
+    lo, hi = float(x.min()), float(x.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("data must be finite")
-    lo, hi = float(np.min(x)), float(np.max(x))
     if x.size * max(hi, -lo) < _SAFE_SUM:
-        total = float(np.sum(x))
+        total = float(x.sum())
     else:
         # a partial sum may leave float range; SuffStats refuses the inf
         with np.errstate(over="ignore"):
-            total = float(np.sum(x))
-    slog = float(np.sum(np.log(x))) if lo > 0 else None
+            total = float(x.sum())
+    slog = float(np.log(x).sum()) if lo > 0 else None
     return SuffStats(n=int(x.size), min=lo, max=hi, sum=total, sum_log=slog)
 
 

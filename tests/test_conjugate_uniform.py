@@ -399,10 +399,11 @@ class TestPositiveSeries:
             f2, f3 = _mp_series(2, a, r), _mp_series(3, a, r)
             if r > 0.0:
                 assert evidence_C(a, r, 1.0).value == pytest.approx(
-                    f2, rel=EXACT_TOL), r
-            assert _tail_linear(a, 1.0, r) == pytest.approx(f2, rel=EXACT_TOL), r
+                    f2, rel=EXACT_TOL, abs=0), r
+            assert _tail_linear(a, 1.0, r) == pytest.approx(
+                f2, rel=EXACT_TOL, abs=0), r
             assert _tail_square(a + 1.0, 1.0, r) == pytest.approx(
-                f3, rel=EXACT_TOL), r
+                f3, rel=EXACT_TOL, abs=0), r
 
     @pytest.mark.parametrize("m, s, rho", [
         (2.5, 1.5, 0.9995), (31.0, 4.0, 0.3), (302.0, 1.001, 0.9995),
@@ -411,30 +412,31 @@ class TestPositiveSeries:
         # K(m, s) = s**-m F_2(m, rho/s), Q(m, s) = s**(1-m) F_3(m-1, rho/s)
         r = rho / s
         assert _tail_linear(m, s, rho) == pytest.approx(
-            s ** -m * _mp_series(2, m, r), rel=EXACT_TOL)
+            s ** -m * _mp_series(2, m, r), rel=EXACT_TOL, abs=0)
         assert _tail_square(m, s, rho) == pytest.approx(
-            s ** (1.0 - m) * _mp_series(3, m - 1.0, r), rel=EXACT_TOL)
+            s ** (1.0 - m) * _mp_series(3, m - 1.0, r), rel=EXACT_TOL, abs=0)
 
     def test_fractional_order_below_one(self):
         for r in (0.0, 0.5, 0.999):
             assert _tail_square(1.01, 1.0, r) == pytest.approx(
-                _mp_series(3, 0.01, r), rel=EXACT_TOL)
+                _mp_series(3, 0.01, r), rel=EXACT_TOL, abs=0)
 
     @pytest.mark.parametrize("n_eff", [1e5, 1e6, 1e7])
     def test_fit_at_large_counts(self, n_eff):
         prior = UniformJointPrior(w0=0.8, n0=n_eff - 3.0, l0=4.0, u0=6.0)
         post = posterior_joint(prior, suff_stats([3.0, 5.0, 7.0]))
         assert post.w0 / post.w_n == 0.2
-        assert post.c_n == pytest.approx(_mp_series(2, n_eff, 0.2), rel=EXACT_TOL)
+        assert post.c_n == pytest.approx(_mp_series(2, n_eff, 0.2),
+                                         rel=EXACT_TOL, abs=0)
         assert post.c_n1 == pytest.approx(_mp_series(2, n_eff + 1.0, 0.2),
-                                          rel=EXACT_TOL)
+                                          rel=EXACT_TOL, abs=0)
         pred = predictive_joint(post)
         assert pred.cdf(5.0) == pytest.approx(0.5, abs=EXACT_TOL)
         assert pred.quantile(0.5) == pytest.approx(5.0, abs=EXACT_TOL)
 
     def test_worked_evidence_at_1e5(self):
         assert evidence_C(1e5, 0.2, 1.0).value == pytest.approx(
-            1.24998125035937e-10, rel=1e-13)
+            1.24998125035937e-10, rel=1e-13, abs=0)
 
     def test_midpoint_cdf_near_the_pole(self):
         # w0/w_n = 0.9995 at n_eff ~ 1e4: the cdf at (l_n+u_n)/2 is 1/2
