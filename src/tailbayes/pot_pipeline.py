@@ -295,8 +295,7 @@ def holdout_log_predictive(predictive, holdout) -> float:
     arr = np.atleast_1d(np.asarray(holdout, dtype=float))
     if arr.size == 0:
         return 0.0
-    # NaN propagates through min and max
-    if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
+    if not np.isfinite(arr).all():
         raise DomainError("holdout points must be finite")
     logs = np.atleast_1d(predictive.log_pdf(arr)).tolist()
     if -math.inf in logs:
