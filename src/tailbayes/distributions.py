@@ -174,13 +174,14 @@ class Pareto(Distribution):
 
     def log_pdf(self, x):
         xa = np.asarray(x, dtype=float)
-        inside = xa >= self.l
+        # fmax lifts x (NaN included) to l, where its log is finite; the
+        # points it lifts lie below the support and read -inf
         body = (
             math.log(self.alpha)
             + self.alpha * math.log(self.l)
-            - (self.alpha + 1.0) * np.log(xa, out=np.zeros(xa.shape), where=inside)
+            - (self.alpha + 1.0) * np.log(np.fmax(xa, self.l))
         )
-        return _ret(x, np.where(inside, body, -np.inf))
+        return _ret(x, np.where(xa >= self.l, body, -np.inf))
 
     def cdf(self, x):
         xa = np.asarray(x, dtype=float)

@@ -292,12 +292,14 @@ def holdout_log_predictive(predictive, holdout) -> float:
     DomainError, as it does in suff_stats.  The sum is computed with
     exact accumulation, so it is invariant under permutation.
     """
-    arr = np.atleast_1d(np.asarray(holdout, dtype=float))
+    arr = np.asarray(holdout, dtype=float)
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
     if arr.size == 0:
         return 0.0
     if not np.isfinite(arr).all():
         raise DomainError("holdout points must be finite")
-    logs = np.atleast_1d(predictive.log_pdf(arr)).tolist()
+    logs = np.asarray(predictive.log_pdf(arr)).tolist()
     if -math.inf in logs:
         return -math.inf
     return math.fsum(logs)
