@@ -185,7 +185,10 @@ class FittedModel:
 
     @property
     def predictive(self):
-        """The posterior predictive, built on first use and then kept."""
+        """The posterior predictive, built on first use and then kept.
+
+        Cached by hand: functools.cached_property takes a lock on every
+        first read before Python 3.12, which costs more than the build."""
         pred = self.__dict__.get("_predictive")
         if pred is None:
             pred = CELLS[(self.spec.family, self.spec.case)].predictive(self)
