@@ -187,8 +187,9 @@ class FittedModel:
     def predictive(self):
         """The posterior predictive, built on first use and then kept.
 
-        Cached by hand: functools.cached_property takes a lock on every
-        first read before Python 3.12, which costs more than the build."""
+        Cached by hand: before Python 3.12, functools.cached_property takes
+        a lock on each first read, which on the streaming path cost about
+        what the cache saves."""
         pred = self.__dict__.get("_predictive")
         if pred is None:
             pred = CELLS[(self.spec.family, self.spec.case)].predictive(self)
