@@ -68,11 +68,12 @@ EVALUATED = {**PREDICTIVES, **STREAM_LAWS}
 
 
 def _points(dist):
-    edges = [e for e in dist.support() if math.isfinite(e)]
-    near = [f(e) for e in edges for f in (lambda e: math.nextafter(e, -math.inf),
-                                          lambda e: e,
-                                          lambda e: math.nextafter(e, math.inf))]
-    return sorted([*SPECIAL, *near])
+    """SPECIAL plus each finite support edge and its float neighbours."""
+    points = list(SPECIAL)
+    for e in dist.support():
+        if math.isfinite(e):
+            points += [math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf)]
+    return sorted(points)
 
 
 @pytest.mark.parametrize("name", sorted(EVALUATED))
