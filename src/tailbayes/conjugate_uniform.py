@@ -26,9 +26,10 @@ summed through its Beta-integral form with a fixed Gauss-Legendre rule on
 segments that double away from the integrand's nearest pole.  The node
 sets are memoised, and for a small array one numpy call takes a tile of
 many nodes by all points, adding in the order of a node-by-node loop
-(which larger arrays take, in place), so a point gets the
-same bits alone as inside an array.  The width cdf is the same positive
-integrand as C(N), cut short, so it too takes no complement.
+(which larger arrays take, in place), so a point gets the same bits
+alone as inside an array; each evaluation sums its series once, both
+tails of the predictive cdf together.  The width cdf is the same
+positive integrand as C(N), cut short, so it too takes no complement.
 
 Working in units of w_n also keeps C(N), of order w_n**-N in raw units,
 inside float range; every quantity that matters (densities, masses,
@@ -101,6 +102,10 @@ _U_END = 50.0
 # arithmetic, which a busy shared host slows far less than it slows
 # interpreted code and the benchmark's probe: scaled by that probe, the
 # uniform_joint values_per_s spread twice as wide as its bound allows.
+# _series_below takes its 16-point rule as (16 x points) tiles of _TILE
+# elements, _TILE // 16 points each, at every size: 16 nodes are too few
+# for one pass per node to beat a tile, and a tile keeps its memory
+# bounded by the input as the per-node passes do.
 _TILE = 16384
 _TILE_POINTS = 64
 
@@ -182,13 +187,15 @@ def _series(p: int, a: float, r, r_max: float):
 
 def _series_below(a: float, rho: float, top):
     """(1/a) integral_0^top e**-u x / (1-rho + rho*x) du, x = 1 - e**(-u/a),
-    over an array top >= 0: the integral form of F_2(a, rho) cut at top.
+    over a 1-d array top >= 0: the integral form of F_2(a, rho) cut at top.
 
     Segments of _nodes(2, a, rho) wholly below top add their node sums;
     the one holding top gets the same 16-point rule on [edge, top], which
     lies at least its own length from the pole as the whole segment does.
     Every term is positive, so the cut integral keeps relative accuracy
-    as top goes to 0.
+    as top goes to 0.  The rule runs as (16 x points) tiles of _TILE
+    elements, its rows added in node order as in _series, so a point
+    gets the same value alone as inside an array.
     """
     edges = _edges(a, rho)
     x, c = _nodes(2, a, rho)
@@ -199,18 +206,22 @@ def _series_below(a: float, rho: float, top):
                      edges.size - 2)
     lo = edges[seg]
     half = 0.5 * (top - lo)
-    part = np.zeros(top.shape)
-    for xi, wi in zip(_GL_X, _GL_W):
-        u = lo + half * (1.0 + xi)
+    part = np.empty(top.size)
+    step = _TILE // _GL_X.size
+    for start in range(0, top.size, step):
+        cut = slice(start, start + step)
+        u = lo[cut] + half[cut] * (1.0 + _GL_X)[:, None]
         x = -np.expm1(-u / a)
-        part += wi * np.exp(-u) * x / (1.0 - rho + rho * x)
+        m = _GL_W[:, None] * np.exp(-u) * x / (1.0 - rho + rho * x)
+        part[cut] = (np.cumsum(m, axis=0)[-1] if m.shape[1] == 1
+                     else np.add.reduce(m, axis=0))
     return below[seg] + half * part / a
 
 
 def _check_tail_args(order: float, knee, pole: float) -> None:
     if order <= 0:
         raise DomainError("tail integral order must be positive")
-    if not 0.0 <= pole <= 1.0 or np.any(np.asarray(knee) < 1.0):
+    if not 0.0 <= pole <= 1.0 or np.less(knee, 1.0).any():
         raise DomainError("tail integral needs 0 <= w0 <= w_n <= s, in units "
                           "of w_n")
 
@@ -500,8 +511,9 @@ class UniformJointPredictive:
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         out = self._mass_beyond(self.l_n) + (arr - self.l_n) * self.flat_level
         low, high = arr < self.l_n, arr > self.u_n
-        out[low] = self._mass_beyond(arr[low])
-        out[high] = 1.0 - self._mass_beyond(arr[high])
+        far = low | high
+        mass = self._mass_beyond(arr[far])
+        out[far] = np.where(high[far], 1.0 - mass, mass)
         return _ret(x, np.clip(out, 0.0, 1.0))
 
     def _solve_beyond(self, mass):
@@ -526,9 +538,10 @@ class UniformJointPredictive:
         out = self.l_n + (prob - below) / self.flat_level
         side = np.minimum(prob, 1.0 - prob)
         tail = side < below
-        s = self._solve_beyond(side[tail])
-        out[tail] = np.where(prob[tail] < 0.5, self.u_n - s * self.w_n,
-                             self.l_n + s * self.w_n)
+        if tail.any():
+            s = self._solve_beyond(side[tail])
+            out[tail] = np.where(prob[tail] < 0.5, self.u_n - s * self.w_n,
+                                 self.l_n + s * self.w_n)
         return _ret(p, out)
 
     def _sample_widths(self, gen: np.random.Generator, size: int) -> np.ndarray:

@@ -23,8 +23,16 @@ from tailbayes.conjugate_uniform import (
     UniformPriorL,
     UniformPriorW,
     UniformJointPosterior,
+    UniformJointPredictive,
+    _GL_W,
+    _GL_X,
+    _TILE,
+    _TILE_POINTS,
+    _U_END,
+    _edges,
     _nodes,
     _series,
+    _series_below,
     _tail_linear,
     _tail_square,
     evidence_C,
@@ -464,6 +472,35 @@ class TestPositiveSeries:
             assert isinstance(call(args[0]), float)
         assert pred.cdf(xs.reshape(41, 1)).shape == (41, 1)
         assert post.width_cdf(ws.reshape(23, 1)).shape == (23, 1)
+        # past _TILE_POINTS, both tails in one array, l_n and u_n exactly
+        grid = np.sort(np.concatenate([np.linspace(1.0, 9.0, 299),
+                                       [post.l_n, post.u_n]]))
+        assert grid.size == 301 > _TILE_POINTS
+        assert {post.l_n, post.u_n} <= set(grid.tolist())
+        assert (grid < post.l_n).sum() > _TILE_POINTS
+        assert (grid > post.u_n).sum() > _TILE_POINTS
+        widths = np.linspace(post.w_n, 3.0 * post.w_n, 301)
+        for call, args in ((pred.pdf, grid), (pred.cdf, grid),
+                           (post.width_cdf, widths)):
+            np.testing.assert_array_equal(call(args), [call(v) for v in args])
+
+    @pytest.mark.parametrize("ratio", [0.2, 0.9995, 1.0])
+    def test_quantile_without_tail_probabilities(self, ratio, monkeypatch):
+        prior = UniformJointPrior(w0=ratio * 4.0, n0=2.0, l0=4.0, u0=6.0)
+        pred = predictive_joint(
+            posterior_joint(prior, suff_stats([3.0, 3.5, 6.2, 7.0])))
+        ps = np.linspace(pred.cdf(pred.l_n), pred.cdf(pred.u_n), 11)[1:-1]
+        with_tails = pred.quantile(np.concatenate([[0.01], ps, [0.99]]))
+
+        def no_tail(self, mass):
+            raise AssertionError("no probability lies in a tail")
+
+        monkeypatch.setattr(UniformJointPredictive, "_solve_beyond", no_tail)
+        middle = pred.quantile(ps)
+        np.testing.assert_array_equal(middle, with_tails[1:-1])
+        np.testing.assert_array_equal(middle, [pred.quantile(p) for p in ps])
+        assert np.all((middle > pred.l_n) & (middle < pred.u_n))
+        assert pred.quantile(np.empty(0)).shape == (0,)
 
     def test_flat_middle_is_exactly_constant(self):
         prior = UniformJointPrior(w0=0.9995 * 4.0, n0=2.0, l0=4.0, u0=6.0)
@@ -485,6 +522,26 @@ def _loop_series(p, a, r, r_max):
     for xk, ck in zip(x, c):
         total += ck / (gap + r * xk)
     return total
+
+
+def _loop_series_below(a, rho, top):
+    """_series_below by one pass per node of the 16-point rule: the
+    order of additions that the tiled rule must keep, bit for bit."""
+    edges = _edges(a, rho)
+    x, c = _nodes(2, a, rho)
+    whole = (c / (1.0 - rho + rho * x)).reshape(-1, _GL_X.size).sum(axis=1)
+    below = np.concatenate(([0.0], np.cumsum(whole)))
+    top = np.minimum(top, _U_END)
+    seg = np.minimum(np.searchsorted(edges, top, side="right") - 1,
+                     edges.size - 2)
+    lo = edges[seg]
+    half = 0.5 * (top - lo)
+    part = np.zeros(top.shape)
+    for xi, wi in zip(_GL_X, _GL_W):
+        u = lo + half * (1.0 + xi)
+        x = -np.expm1(-u / a)
+        part += wi * np.exp(-u) * x / (1.0 - rho + rho * x)
+    return below[seg] + half * part / a
 
 
 class TestSeriesEvaluator:
@@ -529,6 +586,42 @@ class TestSeriesEvaluator:
         finally:
             tracemalloc.stop()
         assert peak < 5 * r.nbytes
+
+    @pytest.mark.parametrize("a", [1.01, 5.0, 301.0, 1e7])
+    @pytest.mark.parametrize("rho", [0.0, 0.2, 0.5, 0.9995, 1.0])
+    def test_cut_rule_bits_match_the_node_loop(self, a, rho):
+        # the tiles hold _TILE // 16 = 1024 points: sizes straddle that
+        assert _TILE // _GL_X.size == 1024
+        rng = np.random.default_rng([int(a), int(1e4 * rho)])
+        # width_cdf cuts at top > 0 only: at rho = 1 the rule is 0/0 at 0
+        special = np.concatenate([_edges(a, rho)[1:],
+                                  [1e-300, _U_END, 1e3, math.inf]])
+        top = np.concatenate([special, np.exp(
+            rng.uniform(math.log(1e-12), math.log(80.0), 5000))])[:5000]
+        alone = np.array([_series_below(a, rho, top[i:i + 1])[0]
+                          for i in range(1025)])
+        for n in (0, 1, 2, 63, 65, 1023, 1024, 1025, 5000):
+            got = _series_below(a, rho, top[:n])
+            assert got.shape == (n,)
+            assert np.array_equal(got, _loop_series_below(a, rho, top[:n])), n
+            assert np.array_equal(got[:1025], alone[:n]), n
+        for i in (1500, 2047, 2048, 4999):
+            assert _series_below(a, rho, top[i:i + 1])[0] == got[i], i
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.9995])
+    def test_width_cdf_memory_bounded_by_the_points(self, ratio):
+        # an untiled 16-point rule would hold 16 arrays of the input's size
+        prior = UniformJointPrior(w0=ratio * 4.0, n0=2.0, l0=4.0, u0=6.0)
+        post = posterior_joint(prior, suff_stats([3.0, 7.0]))
+        w = np.linspace(3.0, 8.0, 1_000_000)
+        post.width_cdf(w[:1])
+        tracemalloc.start()
+        try:
+            post.width_cdf(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * w.nbytes
 
 
 class TestJointPosterior:
