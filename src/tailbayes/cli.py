@@ -20,7 +20,6 @@ import numpy as np
 
 from . import __version__
 from . import distributions
-from . import oracle
 from .errors import (ConvergenceError, CoverageError, DataError, DomainError,
                      InvalidRegimeError, NoInformationError,
                      UnsupportedMappingError, UsageError)
@@ -455,6 +454,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import oracle  # here, not at import: no other command reads it
     rows = oracle.diagnostic_table(cells=args.cells)
     lines = ["case,tv_distance,max_cdf_gap"]
     lines += [f"{r.case},{r.tv_distance!r},{r.max_cdf_gap!r}" for r in rows]
