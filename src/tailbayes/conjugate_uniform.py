@@ -179,10 +179,17 @@ def _series(p: int, a: float, r, r_max: float):
         m += gap
         np.divide(c[start:start + k, None], m, out=m)
         m[0] += total
-        # add.reduce sums a single column pairwise; cumsum goes in order
-        total = (np.cumsum(m, axis=0)[-1] if flat.size == 1
-                 else np.add.reduce(m, axis=0))
+        total = _sum_rows(m)
     return total.reshape(r.shape)
+
+
+def _sum_rows(m: np.ndarray) -> np.ndarray:
+    """The rows of a (nodes x points) tile added in order, ((m_0 + m_1) +
+    m_2) + ..., as a node-by-node loop adds them.  add.reduce does so for
+    two columns or more but sums a single column pairwise; cumsum goes in
+    order."""
+    return (np.cumsum(m, axis=0)[-1] if m.shape[1] == 1
+            else np.add.reduce(m, axis=0))
 
 
 def _series_below(a: float, rho: float, top):
@@ -194,8 +201,8 @@ def _series_below(a: float, rho: float, top):
     lies at least its own length from the pole as the whole segment does.
     Every term is positive, so the cut integral keeps relative accuracy
     as top goes to 0.  The rule runs as (16 x points) tiles of _TILE
-    elements, its rows added in node order as in _series, so a point
-    gets the same value alone as inside an array.
+    elements, its rows added in node order (_sum_rows), so a point gets
+    the same value alone as inside an array.
     """
     edges = _edges(a, rho)
     x, c = _nodes(2, a, rho)
@@ -213,8 +220,7 @@ def _series_below(a: float, rho: float, top):
         u = lo[cut] + half[cut] * (1.0 + _GL_X)[:, None]
         x = -np.expm1(-u / a)
         m = _GL_W[:, None] * np.exp(-u) * x / (1.0 - rho + rho * x)
-        part[cut] = (np.cumsum(m, axis=0)[-1] if m.shape[1] == 1
-                     else np.add.reduce(m, axis=0))
+        part[cut] = _sum_rows(m)
     return below[seg] + half * part / a
 
 
