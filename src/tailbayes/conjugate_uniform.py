@@ -27,9 +27,9 @@ segments that double away from the integrand's nearest pole.  The node
 sets are memoised, and for a small array one numpy call takes a tile of
 many nodes by all points, adding in the order of a node-by-node loop
 (which larger arrays take, in place), so a point gets the same bits
-alone as inside an array; each evaluation sums its series once, both
-tails of the predictive cdf together.  The width cdf is the same
-positive integrand as C(N), cut short, so it too takes no complement.
+alone as inside an array, and the predictive cdf sums both of its
+tails in one call.  The width cdf is the same positive integrand as
+C(N), cut short, so it too takes no complement.
 
 Working in units of w_n also keeps C(N), of order w_n**-N in raw units,
 inside float range; every quantity that matters (densities, masses,
