@@ -2,30 +2,36 @@
 
 Dense-grid quadrature (prior times likelihood, trapezoid masses) and seeded
 Monte Carlo summaries give reference answers that never reuse the conjugate
-update algebra.  The embedded scenarios double as the data source for the
-command-line ``verify`` report.
+update algebra.  The command-line ``verify`` report reads one table of
+cells: each row names a (family, case), a prior, the data, the parameter
+on the grid and its spacing.  The likelihood is the family's log density,
+written here once from the law's definition and summed over the data; the
+prior is the law its prior class names; the closed form under test is
+``pot_pipeline.fit``'s.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import conjugate_exponential
-from . import conjugate_pareto
-from . import conjugate_power
-from . import conjugate_uniform
-from .distributions import as_generator
+from . import conjugate_exponential as cexp
+from . import conjugate_pareto as cpar
+from . import conjugate_power as cpow
+from . import conjugate_uniform as cuni
+from .distributions import Gamma, LogPower, Pareto, Power, Uniform, as_generator
 from .errors import CoverageError, DomainError, UsageError
+from .pot_pipeline import ModelSpec, fit, support
 from .sufficient import suff_stats
 
-try:
-    _trapezoid = np.trapezoid
-except AttributeError:
-    _trapezoid = np.trapz
+__all__ = ["GridSpec", "GridPosterior", "grid_posterior", "compare_posterior",
+           "window", "auto_grid", "mc_check", "grid_marginal", "DiagnosticRow",
+           "Scenario", "single_parameter_scenarios", "run_scenario",
+           "diagnostic_table", "diagnostic_notes"]
 
 
 @dataclass(frozen=True)
@@ -81,8 +87,13 @@ def grid_posterior(log_likelihood: Callable, log_prior: Callable,
     with np.errstate(divide="ignore", invalid="ignore"):
         logp = (np.asarray(log_likelihood(pts), dtype=float)
                 + np.asarray(log_prior(pts), dtype=float))
-    # inf - inf from disjoint cutoffs means zero density, not undefined
-    logp = np.where(np.isnan(logp), -np.inf, logp)
+    return _normalized(pts, logp)
+
+
+def _normalized(pts: np.ndarray, logp: np.ndarray) -> GridPosterior:
+    """Trapezoid masses of the density exp(logp) over pts, summing to one."""
+    # fmax reads NaN (inf - inf where cutoffs meet) as -inf: zero density
+    logp = np.fmax(logp, -np.inf)
     peak = np.max(logp)
     if not np.isfinite(peak):
         raise CoverageError("posterior mass is zero everywhere on the grid")
@@ -152,26 +163,21 @@ def grid_marginal(log_joint: Callable, outer: GridSpec,
     """
     opts = outer.points()
     ipts = inner.points()
+    # trapezoid weights of the inner grid: a slice's area is one dot product
+    half = 0.5 * np.diff(ipts)
+    weights = np.append(half, 0.0) + np.append(0.0, half)
     log_slice = np.full(opts.shape, -np.inf)
-    for i, theta in enumerate(opts):
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, theta in enumerate(opts):
             row = np.asarray(log_joint(float(theta), ipts), dtype=float)
-        row = np.where(np.isnan(row), -np.inf, row)
-        peak = np.max(row)
-        if not np.isfinite(peak):
-            continue
-        area = _trapezoid(np.exp(row - peak), ipts)
-        if area > 0:
-            log_slice[i] = peak + math.log(area)
-    peak = np.max(log_slice)
-    if not np.isfinite(peak):
-        raise CoverageError("joint posterior mass is zero everywhere on the grid")
-    dens = np.exp(log_slice - peak)
-    masses = 0.5 * (dens[1:] + dens[:-1]) * np.diff(opts)
-    total = masses.sum()
-    if total <= 0:
-        raise CoverageError("joint posterior mass is zero everywhere on the grid")
-    return GridPosterior(points=opts, masses=masses / total)
+            row = np.fmax(row, -np.inf)     # NaN to -inf, as in _normalized
+            peak = np.max(row)
+            if not np.isfinite(peak):
+                continue
+            area = float(np.exp(row - peak) @ weights)
+            if area > 0:
+                log_slice[i] = peak + math.log(area)
+    return _normalized(opts, log_slice)
 
 
 @dataclass(frozen=True)
@@ -192,178 +198,129 @@ class Scenario:
     spacing: str
 
 
+# One log density per family, written from the law's definition and
+# vectorised over the datum x and the parameters alike.  Each support is
+# closed at both ends, so a bound may sit on a datum, as it does at the
+# edge of the joint inner grids.
+def _pareto(x, alpha, l):
+    body = np.log(alpha) + alpha * np.log(l) - (alpha + 1.0) * np.log(x)
+    return np.where(x >= l, body, -np.inf)
+
+
+def _shifted_exp(x, alpha, l):
+    return np.where(x >= l, np.log(alpha) - alpha * (x - l), -np.inf)
+
+
+def _power(x, alpha, u):
+    body = np.log(alpha) + (alpha - 1.0) * np.log(x) - alpha * np.log(u)
+    return np.where((x > 0) & (x <= u), body, -np.inf)
+
+
+def _uniform(x, l, w):
+    return np.where((x >= l) & (x <= l + w), -np.log(w), -np.inf)
+
+
+_LOG_PDF = {"pareto": _pareto, "shifted_exp": _shifted_exp,
+            "power": _power, "uniform": _uniform}
+
+# The law each prior class names, over the parameter its cell varies; a
+# joint cell's entry is its exponent block, and its bound block is the
+# location law.  A bound's law takes the exponent alpha: the prior's own
+# in a location cell, the outer grid's in a joint cell.
+_PRIOR_LAW = {
+    ("pareto", "location"): lambda p, alpha: Power(p.l0, alpha * p.n0),
+    ("pareto", "shape"): lambda p, alpha: Gamma(p.n0, p.n0 * math.log(p.g0)),
+    ("pareto", "joint"):
+        lambda p, alpha: Gamma(p.n0_shape, p.n0_shape * math.log(p.g0)),
+    ("shifted_exp", "location"): lambda p, alpha: LogPower(p.l0, alpha * p.n0),
+    ("shifted_exp", "shape"): lambda p, alpha: Gamma(p.n0, p.n0 * (p.mu0 - p.l)),
+    ("shifted_exp", "joint"): lambda p, alpha: Gamma(p.n0_rate, p.n0_rate * p.mu0),
+    ("power", "location"): lambda p, alpha: Pareto(alpha * p.n0, p.u0),
+    ("power", "shape"): lambda p, alpha: Gamma(p.n0, -p.n0 * math.log(p.g0)),
+    ("power", "joint"):
+        lambda p, alpha: Gamma(p.n0_shape, -p.n0_shape * math.log(p.g0)),
+    ("uniform", "width"): lambda p, alpha: Pareto(p.n0, p.w0),
+    ("uniform", "lower"): lambda p, alpha: Uniform(p.u0 - p.w, p.l0),
+}
+
+
+def _prior_log_pdf(law, t):
+    """law.log_pdf with the support closed at its upper end: a bound's
+    prior reaches the bound itself, where a joint inner grid stops."""
+    top = law.support()[1]
+    return law.log_pdf(np.where(t == top, np.nextafter(top, -np.inf), t))
+
+
+class _Cell(NamedTuple):
+    family: str
+    case: str
+    prior: object
+    data: tuple
+    param: str              # on the grid; a joint cell's is the exponent
+    spacing: str
+    inner: tuple = ()       # a joint cell's bound: name, spacing, reach, cells
+
+
 # Fixed sample with minimum exactly 80 for the lower-bound showcase case.
 _PARETO_L_DATA = (80.0, 95.0, 112.0, 86.5, 102.0, 127.0, 90.0, 84.0, 151.0,
                   98.0, 88.0, 130.0, 83.0, 93.5, 108.0, 145.0, 120.0, 99.0,
                   85.5, 105.0)
 
-
-def _pareto_location() -> Scenario:
-    alpha, l0, n0 = 1.2, 100.0, 1.0
-    stats = suff_stats(_PARETO_L_DATA)
-    prior = conjugate_pareto.ParetoPriorL(l0=l0, n0=n0, alpha=alpha)
-    post = conjugate_pareto.posterior_l(prior, stats)
-    lik_slope = stats.n * alpha
-    prior_slope = alpha * n0 - 1.0
-    lo_cut = stats.min
-
-    def log_likelihood(l):
-        return np.where(l <= lo_cut, lik_slope * np.log(l), -np.inf)
-
-    def log_prior(l):
-        return np.where(l <= l0, prior_slope * np.log(l), -np.inf)
-
-    return Scenario("pareto_location", post.distribution(),
-                    log_likelihood, log_prior, "linear")
-
-
-def _pareto_shape() -> Scenario:
-    l, g0, n0 = 1.0, math.e, 1.0
-    data = (2.0, 3.0, 5.0)
-    stats = suff_stats(data)
-    prior = conjugate_pareto.ParetoPriorAlpha(g0=g0, n0=n0, l=l)
-    post = conjugate_pareto.posterior_alpha(prior, stats)
-    rel_sum = stats.sum_log - stats.n * math.log(l)
-    n = stats.n
-
-    def log_likelihood(a):
-        return n * np.log(a) - (a + 1.0) * rel_sum
-
-    def log_prior(a):
-        return (n0 - 1.0) * np.log(a) - n0 * math.log(g0) * a
-
-    return Scenario("pareto_shape", post.distribution(),
-                    log_likelihood, log_prior, "log")
+# A joint cell's inner grid runs from the posterior bound to the bound
+# times reach (log spacing) or plus reach (linear spacing).
+_CELLS = (
+    _Cell("pareto", "location", cpar.ParetoPriorL(l0=100.0, n0=1.0, alpha=1.2),
+          _PARETO_L_DATA, "l", "linear"),
+    _Cell("pareto", "shape", cpar.ParetoPriorAlpha(g0=math.e, n0=1.0, l=1.0),
+          (2.0, 3.0, 5.0), "alpha", "log"),
+    _Cell("shifted_exp", "location", cexp.ExpPriorL(l0=0.5, n0=1.0, alpha=2.0),
+          (0.7, 1.3, 0.9), "l", "linear"),
+    _Cell("shifted_exp", "shape", cexp.ExpPriorAlpha(mu0=1.2, n0=2.0, l=0.2),
+          (0.5, 0.8, 1.1, 0.4), "alpha", "log"),
+    _Cell("power", "location", cpow.PowerPriorU(u0=1.0, n0=1.0, alpha=1.5),
+          (0.4, 0.9, 1.3), "u", "log"),
+    _Cell("power", "shape", cpow.PowerPriorAlpha(g0=0.5, n0=1.0, u=2.0),
+          (0.3, 1.2, 0.8), "alpha", "log"),
+    _Cell("uniform", "width", cuni.UniformPriorW(w0=5.0, n0=2.0, l=1.0),
+          (2.5, 7.2, 4.0), "w", "log"),
+    _Cell("uniform", "lower", cuni.UniformPriorL(l0=2.0, u0=8.0, w=10.0),
+          (3.0, 7.0), "l", "linear"),
+    _Cell("pareto", "joint",
+          cpar.ParetoJointPrior(l0=1.1, n0=1.0, g0=3.0, n0_shape=1.0),
+          (1.05, 1.6, 2.4, 1.3), "alpha", "log", ("l", "log", 1e-6, 8000)),
+    _Cell("shifted_exp", "joint",
+          cexp.ExpJointPrior(l0=0.1, n0=1.0, mu0=1.5, n0_rate=1.0),
+          (0.7, 1.3, 0.9), "alpha", "log", ("l", "linear", -120.0, 12_000)),
+    _Cell("power", "joint",
+          cpow.PowerJointPrior(u0=1.0, n0=1.0, g0=0.4, n0_shape=1.0),
+          (0.3, 1.05, 0.8), "alpha", "log", ("u", "log", 1e5, 8000)),
+)
 
 
-def _shifted_exp_location() -> Scenario:
-    alpha, l0, n0 = 2.0, 0.5, 1.0
-    data = (0.7, 1.3, 0.9)
-    stats = suff_stats(data)
-    prior = conjugate_exponential.ExpPriorL(l0=l0, n0=n0, alpha=alpha)
-    post = conjugate_exponential.posterior_l(prior, stats)
-    lik_slope = stats.n * alpha
-    prior_slope = alpha * n0
-    lo_cut = stats.min
-
-    def log_likelihood(l):
-        return np.where(l <= lo_cut, lik_slope * l, -np.inf)
-
-    def log_prior(l):
-        return np.where(l <= l0, prior_slope * l, -np.inf)
-
-    return Scenario("shifted_exp_location", post.distribution(),
-                    log_likelihood, log_prior, "linear")
+def _fit(cell: _Cell):
+    return fit(ModelSpec(cell.family, cell.case, prior=cell.prior),
+               suff_stats(cell.data))
 
 
-def _shifted_exp_shape() -> Scenario:
-    l, mu0, n0 = 0.2, 1.2, 2.0
-    data = (0.5, 0.8, 1.1, 0.4)
-    stats = suff_stats(data)
-    prior = conjugate_exponential.ExpPriorAlpha(mu0=mu0, n0=n0, l=l)
-    post = conjugate_exponential.posterior_alpha(prior, stats)
-    excess_sum = stats.sum - stats.n * l
-    n = stats.n
-
-    def log_likelihood(a):
-        return n * np.log(a) - a * excess_sum
-
-    def log_prior(a):
-        return (n0 - 1.0) * np.log(a) - a * n0 * (mu0 - l)
-
-    return Scenario("shifted_exp_shape", post.distribution(),
-                    log_likelihood, log_prior, "log")
+def _log_likelihood(cell: _Cell, **params):
+    """The family's log density summed over the cell's data."""
+    log_pdf = _LOG_PDF[cell.family]
+    return sum(log_pdf(x, **params) for x in cell.data)
 
 
-def _power_location() -> Scenario:
-    alpha, u0, n0 = 1.5, 1.0, 1.0
-    data = (0.4, 0.9, 1.3)
-    stats = suff_stats(data)
-    prior = conjugate_power.PowerPriorU(u0=u0, n0=n0, alpha=alpha)
-    post = conjugate_power.posterior_u(prior, stats)
-    lik_slope = stats.n * alpha
-    prior_slope = alpha * n0 + 1.0
-    hi_cut = stats.max
-
-    def log_likelihood(u):
-        return np.where(u >= hi_cut, -lik_slope * np.log(u), -np.inf)
-
-    def log_prior(u):
-        return np.where(u >= u0, -prior_slope * np.log(u), -np.inf)
-
-    return Scenario("power_location", post.distribution(),
-                    log_likelihood, log_prior, "log")
-
-
-def _power_shape() -> Scenario:
-    u, g0, n0 = 2.0, 0.5, 1.0
-    data = (0.3, 1.2, 0.8)
-    stats = suff_stats(data)
-    prior = conjugate_power.PowerPriorAlpha(g0=g0, n0=n0, u=u)
-    post = conjugate_power.posterior_alpha(prior, stats)
-    rel_sum = stats.n * math.log(u) - stats.sum_log
-    n = stats.n
-
-    def log_likelihood(a):
-        return n * np.log(a) - a * rel_sum
-
-    def log_prior(a):
-        return (n0 - 1.0) * np.log(a) + a * n0 * math.log(g0)
-
-    return Scenario("power_shape", post.distribution(),
-                    log_likelihood, log_prior, "log")
-
-
-def _uniform_width() -> Scenario:
-    l, w0, n0 = 1.0, 5.0, 2.0
-    data = (2.5, 7.2, 4.0)
-    stats = suff_stats(data)
-    prior = conjugate_uniform.UniformPriorW(w0=w0, n0=n0, l=l)
-    post = conjugate_uniform.posterior_w(prior, stats)
-    lo_cut = stats.max - l
-    n = stats.n
-
-    def log_likelihood(w):
-        return np.where(w >= lo_cut, -n * np.log(w), -np.inf)
-
-    def log_prior(w):
-        return np.where(w >= w0, -(n0 + 1.0) * np.log(w), -np.inf)
-
-    return Scenario("uniform_width", post.distribution(),
-                    log_likelihood, log_prior, "log")
-
-
-def _uniform_lower() -> Scenario:
-    l0, u0, w = 2.0, 8.0, 10.0
-    data = (3.0, 7.0)
-    stats = suff_stats(data)
-    prior = conjugate_uniform.UniformPriorL(l0=l0, u0=u0, w=w)
-    post = conjugate_uniform.posterior_location(prior, stats)
-    lo_cut = stats.max - w
-    hi_cut = stats.min
-
-    def log_likelihood(l):
-        return np.where((l >= lo_cut) & (l <= hi_cut), 0.0, -np.inf)
-
-    def log_prior(l):
-        return np.where((l >= u0 - w) & (l <= l0), 0.0, -np.inf)
-
-    return Scenario("uniform_lower", post.distribution(),
-                    log_likelihood, log_prior, "linear")
+def _scenario(cell: _Cell) -> Scenario:
+    fitted = _fit(cell)
+    law = _PRIOR_LAW[(cell.family, cell.case)](cell.prior,
+                                               fitted.known.get("alpha"))
+    return Scenario(
+        f"{cell.family}_{cell.case}", fitted.posterior.distribution(),
+        lambda t: _log_likelihood(cell, **fitted.known, **{cell.param: t}),
+        lambda t: _prior_log_pdf(law, t), cell.spacing)
 
 
 def single_parameter_scenarios() -> tuple[Scenario, ...]:
     """The eight fixed single-parameter comparison cases."""
-    return (
-        _pareto_location(),
-        _pareto_shape(),
-        _shifted_exp_location(),
-        _shifted_exp_shape(),
-        _power_location(),
-        _power_shape(),
-        _uniform_width(),
-        _uniform_lower(),
-    )
+    return tuple(_scenario(cell) for cell in _CELLS if not cell.inner)
 
 
 def run_scenario(scenario: Scenario, cells: int = 100_000,
@@ -376,110 +333,37 @@ def run_scenario(scenario: Scenario, cells: int = 100_000,
                          answer["max_cdf_gap"])
 
 
-def _pareto_joint_row(outer_cells: int = 1000,
-                      inner_cells: int = 8000) -> DiagnosticRow:
-    """Shape marginal of the pareto joint case against an honest 2-D grid.
+def _joint_row(cell: _Cell, outer_cells: int = 1000) -> DiagnosticRow:
+    """Exponent marginal of a joint cell against an honest 2-D grid.
 
-    The closed marginal drops a shape-dependent factor that appears when
-    the bound block is renormalized at the updated bound instead of the
-    prior bound, so a visible gap here is expected behavior, not a bug.
+    The closed marginal drops an exponent-dependent factor that appears
+    when the bound block is renormalized at the updated bound instead of
+    the prior bound, so a visible gap here is expected behavior, not a bug.
     """
-    l0, n0, g0, n0_shape = 1.1, 1.0, 3.0, 1.0
-    data = (1.05, 1.6, 2.4, 1.3)
-    stats = suff_stats(data)
-    prior = conjugate_pareto.ParetoJointPrior(l0=l0, n0=n0, g0=g0,
-                                              n0_shape=n0_shape)
-    post = conjugate_pareto.posterior_joint(prior, stats)
-    closed = post.shape_posterior.distribution()
-    sum_log = stats.sum_log
-    n = stats.n
-    log_g0 = math.log(g0)
-    cut = min(l0, stats.min)
+    fitted = _fit(cell)
+    post = fitted.posterior
+    exponent = getattr(post, "shape_posterior", None) or post.rate_posterior
+    closed = exponent.distribution()
+    outer = auto_grid(closed, cell.spacing, cells=outer_cells)
+    bound, spacing, reach, inner_cells = cell.inner
+    cut = support(fitted).posterior_bound   # where data and prior both stop
+    far = cut * reach if spacing == "log" else cut + reach
+    inner = GridSpec(lo=min(cut, far), hi=max(cut, far), cells=inner_cells,
+                     spacing=spacing)
+    # the exponent's prior, evaluated once over the outer grid
+    alphas = outer.points()
+    exponent_law = _PRIOR_LAW[(cell.family, "joint")](cell.prior, None)
+    log_exponent_prior = dict(zip(alphas, exponent_law.log_pdf(alphas)))
+    bound_law = _PRIOR_LAW[(cell.family, "location")]
 
-    def log_joint(alpha, ls):
-        prior_shape = (n0_shape - 1.0) * math.log(alpha) - n0_shape * log_g0 * alpha
-        bound = (math.log(alpha * n0) + (alpha * n0 - 1.0) * np.log(ls)
-                 - alpha * n0 * math.log(l0))
-        lik = (n * math.log(alpha) + n * alpha * np.log(ls)
-               - (alpha + 1.0) * sum_log)
-        return np.where(ls <= cut, prior_shape + bound + lik, -np.inf)
+    def log_joint(alpha, bounds):
+        return (log_exponent_prior[alpha]
+                + _prior_log_pdf(bound_law(cell.prior, alpha), bounds)
+                + _log_likelihood(cell, alpha=alpha, **{bound: bounds}))
 
-    outer = auto_grid(closed, "log", cells=outer_cells)
-    inner = GridSpec(lo=cut * 1e-6, hi=cut, cells=inner_cells, spacing="log")
     answer = compare_posterior(closed, grid_marginal(log_joint, outer, inner))
-    return DiagnosticRow("pareto_joint_shape", answer["tv_distance"],
+    return DiagnosticRow(f"{cell.family}_joint_shape", answer["tv_distance"],
                          answer["max_cdf_gap"])
-
-
-def _shifted_exp_joint_row(outer_cells: int = 1000,
-                           inner_cells: int = 12_000) -> DiagnosticRow:
-    """Rate marginal of the shifted-exponential joint case vs a 2-D grid.
-
-    Same caveat as the pareto joint row: the onset-block normalizer is
-    rate-dependent and the closed marginal ignores the l0-to-l_n move.
-    """
-    l0, n0, mu0, n0_rate = 0.1, 1.0, 1.5, 1.0
-    data = (0.7, 1.3, 0.9)
-    stats = suff_stats(data)
-    prior = conjugate_exponential.ExpJointPrior(l0=l0, n0=n0, mu0=mu0,
-                                                n0_rate=n0_rate)
-    post = conjugate_exponential.posterior_joint(prior, stats)
-    closed = post.rate_posterior.distribution()
-    total = stats.sum
-    n = stats.n
-    cut = min(l0, stats.min)
-
-    def log_joint(alpha, ls):
-        prior_rate = (n0_rate - 1.0) * math.log(alpha) - n0_rate * mu0 * alpha
-        onset = math.log(alpha * n0) + alpha * n0 * (ls - l0)
-        lik = n * math.log(alpha) - alpha * (total - n * ls)
-        return np.where(ls <= cut, prior_rate + onset + lik, -np.inf)
-
-    outer = auto_grid(closed, "log", cells=outer_cells)
-    inner = GridSpec(lo=cut - 120.0, hi=cut, cells=inner_cells, spacing="linear")
-    answer = compare_posterior(closed, grid_marginal(log_joint, outer, inner))
-    return DiagnosticRow("shifted_exp_joint_shape", answer["tv_distance"],
-                         answer["max_cdf_gap"])
-
-
-def _power_joint_row(outer_cells: int = 1000,
-                     inner_cells: int = 8000) -> DiagnosticRow:
-    """Shape marginal of the power joint case vs a 2-D grid."""
-    u0, n0, g0, n0_shape = 1.0, 1.0, 0.4, 1.0
-    data = (0.3, 1.05, 0.8)
-    stats = suff_stats(data)
-    prior = conjugate_power.PowerJointPrior(u0=u0, n0=n0, g0=g0,
-                                            n0_shape=n0_shape)
-    post = conjugate_power.posterior_joint(prior, stats)
-    closed = post.shape_posterior.distribution()
-    sum_log = stats.sum_log
-    n = stats.n
-    log_g0 = math.log(g0)
-    cut = max(u0, stats.max)
-
-    def log_joint(alpha, us):
-        prior_shape = (n0_shape - 1.0) * math.log(alpha) + n0_shape * log_g0 * alpha
-        bound = (math.log(alpha * n0) + alpha * n0 * math.log(u0)
-                 - (alpha * n0 + 1.0) * np.log(us))
-        lik = (n * math.log(alpha) + (alpha - 1.0) * sum_log
-               - n * alpha * np.log(us))
-        return np.where(us >= cut, prior_shape + bound + lik, -np.inf)
-
-    outer = auto_grid(closed, "log", cells=outer_cells)
-    inner = GridSpec(lo=cut, hi=cut * 1e5, cells=inner_cells, spacing="log")
-    answer = compare_posterior(closed, grid_marginal(log_joint, outer, inner))
-    return DiagnosticRow("power_joint_shape", answer["tv_distance"],
-                         answer["max_cdf_gap"])
-
-
-class _WidthMarginal:
-    """cdf adapter so compare_posterior can consume the width marginal."""
-
-    def __init__(self, post):
-        self._post = post
-
-    def cdf(self, w):
-        return self._post.width_cdf(w)
 
 
 def _uniform_joint_row(cells: int = 10_000) -> DiagnosticRow:
@@ -491,29 +375,25 @@ def _uniform_joint_row(cells: int = 10_000) -> DiagnosticRow:
     agree.  The location direction integrates to an interval length, which
     the grid integrand carries exactly.
     """
-    prior = conjugate_uniform.UniformJointPrior(w0=0.5, n0=1.0, l0=0.2, u0=0.9)
-    data = (0.3, 0.95, 0.5)
-    stats = suff_stats(data)
-    post = conjugate_uniform.posterior_joint(prior, stats)
+    prior = cuni.UniformJointPrior(w0=0.5, n0=1.0, l0=0.2, u0=0.9)
+    stats = suff_stats((0.3, 0.95, 0.5))
+    post = cuni.posterior_joint(prior, stats)
     w_n = post.w_n
     span0 = prior.u0 - prior.l0
     prior_cut = max(prior.w0, span0)
     n = stats.n
 
     def log_likelihood(w):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            body = -n * np.log(w) + np.log(w - w_n)
-        return np.where(w > w_n, body, -np.inf)
+        return np.where(w > w_n, -n * np.log(w) + np.log(w - w_n), -np.inf)
 
     def log_prior(w):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            body = -(prior.n0 + 1.0) * np.log(w) - np.log(w - span0)
+        body = -(prior.n0 + 1.0) * np.log(w) - np.log(w - span0)
         return np.where(w > prior_cut, body, -np.inf)
 
     sigma_hi = (post.n_eff * post.c_n * 1e-6) ** (-1.0 / post.n_eff)
     grid = GridSpec(lo=w_n, hi=w_n * sigma_hi, cells=cells, spacing="log")
     marginal = grid_posterior(log_likelihood, log_prior, grid)
-    answer = compare_posterior(_WidthMarginal(post), marginal)
+    answer = compare_posterior(SimpleNamespace(cdf=post.width_cdf), marginal)
     return DiagnosticRow("uniform_joint_width", answer["tv_distance"],
                          answer["max_cdf_gap"])
 
@@ -527,9 +407,7 @@ def diagnostic_table(cells: int = 100_000) -> list[DiagnosticRow]:
     numerical marginal; they are reported, not asserted.
     """
     rows = [run_scenario(sc, cells=cells) for sc in single_parameter_scenarios()]
-    rows.append(_pareto_joint_row())
-    rows.append(_shifted_exp_joint_row())
-    rows.append(_power_joint_row())
+    rows += [_joint_row(cell) for cell in _CELLS if cell.inner]
     rows.append(_uniform_joint_row())
     return rows
 
@@ -538,13 +416,13 @@ def diagnostic_notes() -> list[str]:
     """Commentary for the verify report: places where two closed forms of
     the same quantity disagree, with the rejected one's value stated so
     the choice is auditable."""
-    prior = conjugate_uniform.UniformPriorL(l0=2.0, u0=8.0, w=10.0)
-    post = conjugate_uniform.posterior_location(prior, suff_stats((3.0, 7.0)))
-    trap = conjugate_uniform.predictive_location(post)
+    prior = cuni.UniformPriorL(l0=2.0, u0=8.0, w=10.0)
+    post = cuni.posterior_location(prior, suff_stats((3.0, 7.0)))
+    trap = cuni.predictive_location(post)
     l_n, u_n, w = post.high, post.low + post.width, post.width
     rejected = (l_n - u_n) / (w * (l_n - u_n + w))
     w_n = 1.0
-    ev = conjugate_uniform.evidence_C(2.0, 0.5, w_n)
+    ev = cuni.evidence_C(2.0, 0.5, w_n)
     return [
         "note: uniform lower-bound predictive keeps the flat-segment density "
         f"1/w = {trap.height!r}; the alternative closed form "

@@ -1,18 +1,23 @@
 """Numerical cross-check layer: grids, comparisons, seeded sampling.
 
 The grid machinery must reproduce known densities, refine cleanly, and
-agree with the closed-form posteriors on the embedded scenarios without
-ever reusing the conjugate update algebra.
+agree with the closed-form posteriors on the table's cells without ever
+reusing the conjugate update algebra.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tailbayes.distributions import Pareto, Power, Uniform
+from tailbayes import oracle
+from tailbayes.distributions import LogPower, Pareto, Power, ShiftedExp, Uniform
 from tailbayes.errors import CoverageError, DomainError, UsageError
 from tailbayes.oracle import (
+    _LOG_PDF,
+    _prior_log_pdf,
     GridPosterior,
     GridSpec,
     auto_grid,
@@ -47,6 +52,19 @@ JOINT_NAMES = [
     "shifted_exp_joint_shape",
     "power_joint_shape",
     "uniform_joint_width",
+]
+
+# each table density with its parameters, the distributions law it
+# writes out, points inside the support and points outside it
+FAMILY_LAWS = [
+    ("pareto", (2.5, 1.5), Pareto(alpha=2.5, l=1.5),
+     [1.5, 1.7, 3.0, 40.0], [1.4999, 0.5, -2.0]),
+    ("shifted_exp", (0.7, -1.0), ShiftedExp(alpha=0.7, l=-1.0),
+     [-1.0, 0.0, 2.5, 30.0], [-1.0001, -5.0]),
+    ("power", (3.0, 2.0), Power(a=2.0, b=3.0),
+     [1e-3, 0.5, 1.9999], [2.0001, 7.0, -0.5]),
+    ("uniform", (-1.0, 3.0), Uniform(-1.0, 2.0),
+     [-1.0, 0.0, 1.9999], [-1.0001, 2.0001, 9.0]),
 ]
 
 
@@ -150,6 +168,40 @@ class TestScenarios:
         assert coarse > medium > fine
 
 
+class TestFamilyTable:
+    @pytest.mark.parametrize("family, params, law, inside, outside",
+                             FAMILY_LAWS, ids=[row[0] for row in FAMILY_LAWS])
+    def test_density_matches_law(self, family, params, law, inside, outside):
+        density = _LOG_PDF[family]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for x in inside:
+                assert float(density(x, *params)) == pytest.approx(
+                    law.log_pdf(x), rel=1e-14)
+            for x in outside:
+                assert float(density(x, *params)) == -math.inf
+            np.testing.assert_allclose(density(np.array(inside), *params),
+                                       law.log_pdf(np.array(inside)), rtol=1e-14)
+
+    def test_bound_prior_reaches_its_bound(self):
+        # LogPower is open at its upper end; a bound's prior is not
+        law = LogPower(a=0.1, b=2.0)
+        assert law.log_pdf(0.1) == -math.inf
+        closed = _prior_log_pdf(law, np.array([0.05, 0.1, 0.2]))
+        assert closed[0] == law.log_pdf(0.05)
+        assert closed[1] == pytest.approx(math.log(2.0), rel=1e-14)
+        assert closed[2] == -math.inf
+
+    def test_oracle_does_not_import_the_kernel(self):
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        names = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names += [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names += [a.name for a in node.names]
+        assert [n for n in names if "conjugate_kernel" in n] == []
+
+
 class TestGridMarginal:
     def test_triangle_marginal(self):
         # joint flat on {0 < y <= theta < 1} has marginal density 2*theta
@@ -161,6 +213,28 @@ class TestGridMarginal:
         marginal = grid_marginal(log_joint, outer, inner)
         answer = compare_posterior(Power(a=1.0, b=2.0), marginal)
         assert answer["tv_distance"] < 1e-3
+
+    def test_slices_match_trapezoid_loop(self):
+        # each slice's area is a dot product with trapezoid weights; it
+        # must equal the trapezoid rule summed interval by interval up to
+        # the reordered float sums
+        def log_joint(theta, ys):
+            body = math.log(theta) - theta * ys
+            return np.where(ys >= 0.005 * theta, body, -np.inf)
+
+        outer = GridSpec(lo=0.1, hi=3.0, cells=300, spacing="log")
+        inner = GridSpec(lo=1e-3, hi=3.0, cells=2_000, spacing="log")
+        ys = inner.points()
+        log_slice = []
+        for theta in outer.points():
+            row = log_joint(theta, ys)
+            dens = np.exp(row - row.max())
+            area = np.sum(0.5 * (dens[1:] + dens[:-1]) * np.diff(ys))
+            log_slice.append(row.max() + math.log(area))
+        dens = np.exp(np.array(log_slice) - max(log_slice))
+        masses = 0.5 * (dens[1:] + dens[:-1]) * np.diff(outer.points())
+        np.testing.assert_allclose(grid_marginal(log_joint, outer, inner).masses,
+                                   masses / masses.sum(), rtol=1e-12)
 
     def test_empty_joint_raises(self):
         def log_joint(theta, ys):
