@@ -279,20 +279,26 @@ class TestJoint:
     def test_predictive_matches_joint_mixture(self):
         post = posterior_joint(self.PRIOR, suff_stats([1.0, 2.0]))
         pred = predictive_joint(post)
-        gamma = post.rate_posterior.distribution()
+        k, r = post.rate_posterior.shape, post.rate_posterior.rate
         l_n, n_eff = post.l_n, post.n_eff_onset
 
+        # the integrands are the laws' log densities written out in math,
+        # so quad spends its evaluations on arithmetic, not on law objects
         def mixture(x):
             def over_alpha(a):
+                b = a * n_eff
+
+                def integrand(l):
+                    # ShiftedExp(a, l) at x times LogPower(l_n, b) at l
+                    return math.exp(math.log(a) - a * (x - l)
+                                    + math.log(b) + b * (l - l_n))
+
                 inner, _ = integrate.quad(
-                    lambda l: ShiftedExp(a, l).pdf(x)
-                    * LogPower(l_n, a * n_eff).pdf(l),
-                    -np.inf,
-                    min(x, l_n),
-                    epsabs=1e-13,
-                    epsrel=1e-11,
+                    integrand, -np.inf, min(x, l_n), epsabs=1e-13, epsrel=1e-11
                 )
-                return inner * gamma.pdf(a)
+                # Gamma(k, r) at a
+                return inner * math.exp(k * math.log(r) + (k - 1.0) * math.log(a)
+                                        - r * a - math.lgamma(k))
 
             value, err = integrate.quad(
                 over_alpha, 0.0, np.inf, epsabs=1e-12, epsrel=1e-10

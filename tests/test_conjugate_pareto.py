@@ -322,20 +322,29 @@ class TestJoint:
     def test_predictive_matches_joint_mixture(self):
         post = posterior_joint(self.PRIOR, suff_stats(self.DATA))
         pred = predictive_joint(post)
-        gamma = post.shape_posterior.distribution()
+        k, r = post.shape_posterior.shape, post.shape_posterior.rate
         n_eff = post.n_eff_bound
         l_n = post.l_n
 
+        # the integrands are the laws' log densities written out in math,
+        # so quad spends its evaluations on arithmetic, not on law objects
         def mixture(x):
             def over_alpha(a):
+                b = a * n_eff
+
+                def integrand(l):
+                    log_l = math.log(l)
+                    # Pareto(a, l) at x times Power(l_n, b) at l
+                    return math.exp(math.log(a) + a * log_l - (a + 1.0) * math.log(x)
+                                    + math.log(b) + (b - 1.0) * log_l
+                                    - b * math.log(l_n))
+
                 inner, _ = integrate.quad(
-                    lambda l: Pareto(a, l).pdf(x) * Power(l_n, a * n_eff).pdf(l),
-                    0.0,
-                    min(x, l_n),
-                    epsabs=1e-13,
-                    epsrel=1e-11,
+                    integrand, 0.0, min(x, l_n), epsabs=1e-13, epsrel=1e-11
                 )
-                return inner * gamma.pdf(a)
+                # Gamma(k, r) at a
+                return inner * math.exp(k * math.log(r) + (k - 1.0) * math.log(a)
+                                        - r * a - math.lgamma(k))
 
             value, err = integrate.quad(
                 over_alpha, 0.0, np.inf, epsabs=1e-12, epsrel=1e-10

@@ -282,19 +282,28 @@ class TestJoint:
     def test_predictive_matches_joint_mixture(self):
         post = posterior_joint(self.PRIOR, suff_stats(self.DATA))
         pred = predictive_joint(post)
-        gamma = post.shape_posterior.distribution()
+        k, r = post.shape_posterior.shape, post.shape_posterior.rate
         u_n, n_eff = post.u_n, post.n_eff_bound
 
+        # the integrands are the laws' log densities written out in math,
+        # so quad spends its evaluations on arithmetic, not on law objects
         def mixture(x):
             def over_alpha(a):
+                b = a * n_eff
+
+                def integrand(u):
+                    log_u = math.log(u)
+                    # Power(u, a) at x times Pareto(b, u_n) at u
+                    return math.exp(math.log(a) + (a - 1.0) * math.log(x) - a * log_u
+                                    + math.log(b) + b * math.log(u_n)
+                                    - (b + 1.0) * log_u)
+
                 inner, _ = integrate.quad(
-                    lambda u: Power(u, a).pdf(x) * Pareto(a * n_eff, u_n).pdf(u),
-                    max(x, u_n),
-                    np.inf,
-                    epsabs=1e-13,
-                    epsrel=1e-11,
+                    integrand, max(x, u_n), np.inf, epsabs=1e-13, epsrel=1e-11
                 )
-                return inner * gamma.pdf(a)
+                # Gamma(k, r) at a
+                return inner * math.exp(k * math.log(r) + (k - 1.0) * math.log(a)
+                                        - r * a - math.lgamma(k))
 
             value, err = integrate.quad(
                 over_alpha, 0.0, np.inf, epsabs=1e-12, epsrel=1e-10
