@@ -333,7 +333,7 @@ def run_scenario(scenario: Scenario, cells: int = 100_000,
                          answer["max_cdf_gap"])
 
 
-def _joint_row(cell: _Cell, outer_cells: int = 1000) -> DiagnosticRow:
+def _joint_row(cell: _Cell) -> DiagnosticRow:
     """Exponent marginal of a joint cell against an honest 2-D grid.
 
     The closed marginal drops an exponent-dependent factor that appears
@@ -344,9 +344,9 @@ def _joint_row(cell: _Cell, outer_cells: int = 1000) -> DiagnosticRow:
     post = fitted.posterior
     exponent = getattr(post, "shape_posterior", None) or post.rate_posterior
     closed = exponent.distribution()
-    outer = auto_grid(closed, cell.spacing, cells=outer_cells)
+    outer = auto_grid(closed, cell.spacing, cells=1000)
     bound, spacing, reach, inner_cells = cell.inner
-    cut = support(fitted).posterior_bound   # where data and prior both stop
+    cut = support(fitted).posterior_bound   # the last bound data and prior allow
     far = cut * reach if spacing == "log" else cut + reach
     inner = GridSpec(lo=min(cut, far), hi=max(cut, far), cells=inner_cells,
                      spacing=spacing)
