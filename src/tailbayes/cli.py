@@ -245,25 +245,14 @@ def _posterior_block(post) -> dict:
 
 
 def render_document(fitted: FittedModel, seed: int | None = None) -> str:
-    spec = fitted.spec
-    prior_block = None
-    if spec.prior is not None:
-        prior_block = dataclasses.asdict(spec.prior)
-    stats = fitted.stats
+    """The state document: the model spec and the sufficient statistics
+    as their dataclasses declare them, and the posterior and the known
+    parameters as a record of the fit."""
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "model_spec": {
-            "family": spec.family,
-            "case": spec.case,
-            "noninformative": spec.noninformative,
-            "prior": prior_block,
-            "known": dict(spec.known),
-            "view": spec.view,
-            "threshold": spec.threshold,
-        },
+        "model_spec": dataclasses.asdict(fitted.spec),
         "posterior": _posterior_block(fitted.posterior),
-        "suff_stats": {"n": stats.n, "min": stats.min, "max": stats.max,
-                       "sum": stats.sum, "sum_log": stats.sum_log},
+        "suff_stats": dataclasses.asdict(fitted.stats),
         "known": dict(fitted.known),
         "metadata": {"seed": seed, "tool_version": __version__},
     }
@@ -274,7 +263,9 @@ def load_document(path: str) -> FittedModel:
     """Read a state document back by refitting its model spec on its
     sufficient statistics, which hold the whole conjugate fit; the
     posterior and top-level known blocks are a record of the fit that
-    nothing reads."""
+    nothing reads.  The model_spec, prior and suff_stats blocks are read
+    by keyword, so a missing or unknown key makes the state malformed, as
+    does a block that is not an object."""
     text = _read_text(path, "state file")
     try:
         doc = json.loads(text)
@@ -285,19 +276,17 @@ def load_document(path: str) -> FittedModel:
             raise DataError(f"state file {path} has unsupported schema_version "
                             f"{doc['schema_version']!r}")
         ms = doc["model_spec"]
-        family, case = ms["family"], ms["case"]
-        prior = None
-        if ms["prior"] is not None:
-            prior = CELLS[(family, case)].prior(**ms["prior"])
-        spec = ModelSpec(family=family, case=case, prior=prior,
-                         noninformative=ms["noninformative"],
-                         known={k: float(v) for k, v in ms["known"].items()},
-                         view=ms["view"],
-                         threshold=ms["threshold"])
-        raw = doc["suff_stats"]
-        stats = SuffStats(n=raw["n"], min=raw["min"], max=raw["max"],
-                          sum=raw["sum"], sum_log=raw["sum_log"])
-    except (KeyError, TypeError, ValueError) as exc:
+        # every field, as ModelSpec's defaults would fill in a missing one
+        names = {f.name for f in dataclasses.fields(ModelSpec)}
+        if ms.keys() != names:
+            raise ValueError(f"model_spec has keys {sorted(ms)}, not {sorted(names)}")
+        prior = ms["prior"]
+        if prior is not None:
+            prior = CELLS[ms["family"], ms["case"]].prior(**prior)
+        known = {k: float(v) for k, v in ms["known"].items()}
+        spec = ModelSpec(**{**ms, "prior": prior, "known": known})
+        stats = SuffStats(**doc["suff_stats"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"state file {path} is malformed: {exc}") from None
     return fit(spec, stats)
 

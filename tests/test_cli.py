@@ -495,6 +495,48 @@ class TestStateIsRefit:
                          "--data", data, "--out", str(out)]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("block,edit", [
+        ("model_spec", {"views": "raw"}),
+        ("suff_stats", {"sum_sq": 1.0}),
+        ("model_spec", {"known": []}),
+        ("model_spec", {"known": None}),
+        ("model_spec", {"known": "alpha=1.2"}),
+    ], ids=["spec-unknown-key", "stats-unknown-key", "known-list",
+            "known-null", "known-string"])
+    def test_block_other_than_its_dataclass_exits_3(self, tmp_path, capsys,
+                                                     block, edit):
+        # the model_spec and suff_stats blocks are read by keyword into
+        # ModelSpec and SuffStats, so a key that is not a field, or a known
+        # block that is not an object, is a malformed state for every
+        # command that reads one
+        state, data = noninformative_state(tmp_path, "pareto", "location",
+                                           "alpha=1.2")
+        doc = json.loads(state.read_text())
+        doc[block].update(edit)
+        state.write_text(json.dumps(doc))
+        out = tmp_path / "next.json"
+        for argv in (["predict"], ["support"], ["validate", "--holdout", data],
+                     ["fit", "--update", "--data", data, "--out", str(out)]):
+            capsys.readouterr()
+            assert cli.main([*argv, "--state", str(state)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: state file {state} is malformed")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("block,key", [
+        ("model_spec", "view"), ("model_spec", "threshold"),
+        ("model_spec", "known"), ("suff_stats", "sum_log")])
+    def test_block_missing_a_field_exits_3(self, tmp_path, capsys, block, key):
+        # ModelSpec has defaults for these; a state must still spell out
+        # every field rather than have one filled in
+        state, _ = noninformative_state(tmp_path, "pareto", "location",
+                                        "alpha=1.2")
+        doc = json.loads(state.read_text())
+        del doc[block][key]
+        state.write_text(json.dumps(doc))
+        assert cli.main(["predict", "--state", str(state)]) == 3
+        assert "is malformed" in capsys.readouterr().err
+
     def test_min_above_max_exits_3(self, tmp_path, capsys):
         state, _ = noninformative_state(tmp_path, "uniform", "width", "l=1")
         doc = json.loads(state.read_text())
