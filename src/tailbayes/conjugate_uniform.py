@@ -118,8 +118,10 @@ def _edges(a: float, r_max: float) -> np.ndarray:
     double from d = min(-a*log(r_max), a, 1) out to _U_END and every
     segment lies at least its own length from it.  At r_max = 1 the pole
     cancels (p >= 2) and d stops at a * 2**-53, the smallest -log(r) a
-    float r < 1 can have.
+    float r < 1 can have.  The doubling needs a > 0 to reach _U_END.
     """
+    if not a > 0.0:
+        raise DomainError("series order must be positive")
     spread = -math.log(r_max) if r_max > 0.0 else math.inf
     d = min(a * max(spread, 2.0 ** -53), a, 1.0)
     edges = [0.0]
@@ -224,25 +226,15 @@ def _series_below(a: float, rho: float, top):
     return below[seg] + half * part / a
 
 
-def _check_tail_args(order: float, knee, pole: float) -> None:
-    if order <= 0:
-        raise DomainError("tail integral order must be positive")
-    if not 0.0 <= pole <= 1.0 or np.less(knee, 1.0).any():
-        raise DomainError("tail integral needs 0 <= w0 <= w_n <= s, in units "
-                          "of w_n")
-
-
 def _tail_linear(order: float, knee, pole: float):
     """K(order, knee) = knee**-order * F_2(order, pole/knee), in units of
-    w_n (knee >= 1 >= pole)."""
-    _check_tail_args(order, knee, pole)
+    w_n (knee >= 1 >= pole: _sigma gives the knee, the record the pole)."""
     return knee ** (-order) * _series(2, order, pole / knee, pole)
 
 
 def _tail_square(order: float, knee, pole: float):
     """Q(order, knee) = knee**(1-order) * F_3(order-1, pole/knee), in units
     of w_n (knee >= 1 >= pole)."""
-    _check_tail_args(order, knee, pole)
     if order <= 1:
         raise DomainError("squared tail integral needs order > 1")
     return knee ** (1.0 - order) * _series(3, order - 1.0, pole / knee, pole)
@@ -266,7 +258,7 @@ def _scaled_evidence(order: float, w0: float, w_n: float) -> float:
 
 def _check_evidence(name: str, order: float, value: float) -> None:
     """Hold C(order) in units of w_n to its bracket [1/(k*(k+1)), 1/k]
-    (derived at UniformJointPosterior); ConvergenceError outside it."""
+    (derived at _JointRecord); ConvergenceError outside it."""
     lo, hi = 1.0 / (order * (order + 1.0)), 1.0 / order
     if not lo * (1.0 - 1e-9) <= value <= hi * (1.0 + 1e-9):
         raise ConvergenceError(
@@ -385,19 +377,18 @@ class EvidenceResult:
 
 
 @dataclass(frozen=True)
-class UniformJointPosterior:
-    """Joint posterior: Uniform conditional over l, non-conjugate width marginal.
+class _JointRecord:
+    """The six numbers behind the joint posterior and its predictive.
 
-    The width marginal is p(w|X) = w**-(N+1) * (w-w_n)/(w-w0) / C(N) on
-    w > w_n, with N = n_eff.  Evidence constants are stored in units of
-    the pooled range w_n (c_n = C(N)*w_n**N, c_n1 = C(N+1)*w_n**(N+1)),
-    because the raw constants can leave float range while every consumer
-    only ever needs ratios.
+    N = n_eff.  Evidence constants are stored in units of the pooled range
+    w_n (c_n = C(N)*w_n**N, c_n1 = C(N+1)*w_n**(N+1)), because the raw
+    constants can leave float range while every consumer only ever needs
+    ratios.
 
     On v > 1, (v-1)/v <= (v-1)/(v-rho) < 1, so C(k) in units of w_n lies
-    in [1/(k*(k+1)), 1/k].  A constant outside that bracket (one built by
-    hand or from a damaged record) raises ConvergenceError here, before
-    any evaluation divides by it.
+    in [1/(k*(k+1)), 1/k].  A record with w0 outside (0, w_n], or with a
+    constant outside that bracket (one built by hand or from a damaged
+    record), is refused here, before any evaluation divides by it.
     """
 
     l_n: float
@@ -408,14 +399,30 @@ class UniformJointPosterior:
     c_n1: float
 
     def __post_init__(self):
-        if not (self.n_eff > 0 and self.u_n > self.l_n):
-            raise DomainError("joint posterior needs n_eff > 0 and u_n > l_n")
+        # 0 < w0 <= w_n also holds u_n above l_n
+        if not (self.n_eff > 0 and 0.0 < self.w0 <= self.w_n):
+            raise DomainError("joint posterior needs n_eff > 0 and "
+                              "0 < w0 <= w_n = u_n - l_n")
         _check_evidence("c_n", self.n_eff, self.c_n)
         _check_evidence("c_n1", self.n_eff + 1.0, self.c_n1)
 
     @property
     def w_n(self) -> float:
         return self.u_n - self.l_n
+
+    @property
+    def rho(self) -> float:
+        """The width marginal's pole w0 in units of w_n, in (0, 1]."""
+        return self.w0 / self.w_n
+
+
+@dataclass(frozen=True)
+class UniformJointPosterior(_JointRecord):
+    """Joint posterior: Uniform conditional over l, non-conjugate width marginal.
+
+    The width marginal is p(w|X) = w**-(N+1) * (w-w_n)/(w-w0) / C(N) on
+    w > w_n, with N = n_eff; its fields and checks are _JointRecord's.
+    """
 
     @property
     def evidence_value(self) -> float:
@@ -425,9 +432,8 @@ class UniformJointPosterior:
     def width_pdf(self, w):
         """Density of the width marginal at w (zero at or below w_n)."""
         v = np.asarray(w, dtype=float) / self.w_n
-        rho = self.w0 / self.w_n
         with np.errstate(divide="ignore", invalid="ignore"):
-            body = v ** (-(self.n_eff + 1.0)) * (v - 1.0) / (v - rho)
+            body = v ** (-(self.n_eff + 1.0)) * (v - 1.0) / (v - self.rho)
         out = np.where(v > 1.0, body / (self.c_n * self.w_n), 0.0)
         return _ret(w, out)
 
@@ -445,7 +451,7 @@ class UniformJointPosterior:
         out = np.zeros(arr.shape)
         wide = gap > 0.0
         top = self.n_eff * np.log1p(gap[wide])
-        out[wide] = _series_below(self.n_eff, self.w0 / self.w_n, top) / self.c_n
+        out[wide] = _series_below(self.n_eff, self.rho, top) / self.c_n
         return _ret(w, np.clip(out, 0.0, 1.0))
 
     def conditional_location(self, w: float) -> Uniform:
@@ -456,7 +462,7 @@ class UniformJointPosterior:
 
 
 @dataclass(frozen=True)
-class UniformJointPredictive:
+class UniformJointPredictive(_JointRecord):
     """Posterior predictive of the joint case, supported on all reals.
 
     Mixing Uniform(l, l+w) over the joint posterior gives
@@ -468,18 +474,9 @@ class UniformJointPredictive:
     edge exists.  The cdf uses the squared-tail integral Q, through the
     identity 2*Q(N+1, w_n) + w_n*K(N+1, w_n) = C(N), which the series
     satisfy term by term: the cdf is 1/2 at the midpoint up to rounding.
+    It is the posterior's record, so its fields and checks are
+    _JointRecord's.
     """
-
-    l_n: float
-    u_n: float
-    w0: float
-    n_eff: float
-    c_n: float
-    c_n1: float
-
-    @property
-    def w_n(self) -> float:
-        return self.u_n - self.l_n
 
     def support(self) -> tuple[float, float]:
         return (-math.inf, math.inf)
@@ -489,23 +486,25 @@ class UniformJointPredictive:
         """Constant density between l_n and u_n: C(N+1)/C(N)."""
         return self.c_n1 / (self.c_n * self.w_n)
 
-    def _rho(self) -> float:
-        return self.w0 / self.w_n
-
     def _sigma(self, x):
         """Pooled range after adjoining x, in units of w_n (>= 1)."""
         return (np.maximum(self.u_n, x) - np.minimum(self.l_n, x)) / self.w_n
 
     def _mass_beyond(self, x):
         """Q(N+1, s(x)) / C(N): the mass on the far side of x from [l_n, u_n]."""
-        return _tail_square(self.n_eff + 1.0, self._sigma(x), self._rho()) / self.c_n
+        return _tail_square(self.n_eff + 1.0, self._sigma(x), self.rho) / self.c_n
+
+    @functools.cached_property
+    def _below(self) -> float:
+        """The mass below l_n, a constant of the predictive: summed once."""
+        return self._mass_beyond(self.l_n)
 
     def pdf(self, x):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.full(arr.shape, self.flat_level)
         far = ~((arr >= self.l_n) & (arr <= self.u_n))
         out[far] = _tail_linear(self.n_eff + 1.0, self._sigma(arr[far]),
-                                self._rho()) / (self.c_n * self.w_n)
+                                self.rho) / (self.c_n * self.w_n)
         return _ret(x, out)
 
     def log_pdf(self, x):
@@ -515,7 +514,7 @@ class UniformJointPredictive:
 
     def cdf(self, x):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = self._mass_beyond(self.l_n) + (arr - self.l_n) * self.flat_level
+        out = self._below + (arr - self.l_n) * self.flat_level
         low, high = arr < self.l_n, arr > self.u_n
         far = low | high
         mass = self._mass_beyond(arr[far])
@@ -526,7 +525,7 @@ class UniformJointPredictive:
         """s >= 1 with Q(N+1, s) / C(N) = mass, for 0 < mass below the mass
         beyond l_n.  log Q is convex and decreasing in y = log s, so Newton
         steps from y = 0 rise monotonically to the root."""
-        m, rho = self.n_eff + 1.0, self._rho()
+        m, rho = self.n_eff + 1.0, self.rho
         goal = np.log(mass) + math.log(self.c_n)
         y = np.zeros(mass.shape)
         for _ in range(100):
@@ -540,10 +539,9 @@ class UniformJointPredictive:
 
     def quantile(self, p):
         prob = np.atleast_1d(_check_prob(p))
-        below = self._mass_beyond(self.l_n)
-        out = self.l_n + (prob - below) / self.flat_level
+        out = self.l_n + (prob - self._below) / self.flat_level
         side = np.minimum(prob, 1.0 - prob)
-        tail = side < below
+        tail = side < self._below
         if tail.any():
             s = self._solve_beyond(side[tail])
             out[tail] = np.where(prob[tail] < 0.5, self.u_n - s * self.w_n,
@@ -558,7 +556,7 @@ class UniformJointPredictive:
         is at worst about 1/(N+1), so the proposal batch is sized N+2
         per needed draw.
         """
-        rho = self._rho()
+        rho = self.rho
         out = np.empty(size)
         filled = 0
         while filled < size:
@@ -677,11 +675,9 @@ def posterior_joint(prior: UniformJointPrior, stats: SuffStats) -> UniformJointP
 
 
 def predictive_joint(post: UniformJointPosterior) -> UniformJointPredictive:
-    """Posterior predictive of the joint case: the exact mixture."""
-    return UniformJointPredictive(
-        l_n=post.l_n, u_n=post.u_n, w0=post.w0,
-        n_eff=post.n_eff, c_n=post.c_n, c_n1=post.c_n1,
-    )
+    """Posterior predictive of the joint case: the exact mixture, on the
+    posterior's own record."""
+    return UniformJointPredictive(**vars(post))
 
 
 def noninformative(case: str, stats: SuffStats, *, l: float | None = None,

@@ -8,6 +8,7 @@ quadrature and against mpmath, and the joint predictive against its
 defining mixture.
 """
 
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -354,12 +355,18 @@ class TestTailIntegralPaths:
             assert 2.0 * q + k == pytest.approx(c_n, rel=EXACT_TOL)
 
     def test_validation(self):
+        # a pole above 1 is refused where the record is built (see
+        # TestJointRecord), no longer on every tail call
         with pytest.raises(DomainError):
             _tail_linear(0.0, 1.0, 0.5)
         with pytest.raises(DomainError):
-            _tail_linear(2.0, 1.0, 1.5)
-        with pytest.raises(DomainError):
             _tail_square(0.5, 1.0, 0.2)
+
+    @pytest.mark.parametrize("order", [0.0, -1.0, -math.inf, math.nan])
+    def test_edges_refuse_an_order_that_never_doubles(self, order):
+        # the doubling from d = 0 would never reach _U_END
+        with pytest.raises(DomainError, match="order must be positive"):
+            _edges(order, 0.5)
 
 
 def _direct_evidence(n_eff, rho):
@@ -717,6 +724,71 @@ class TestJointPosterior:
         wide = UniformJointPrior(w0=50.0, n0=1.0, l0=0.0, u0=1.0)
         with pytest.raises(InvalidRegimeError, match="pole"):
             posterior_joint(wide, suff_stats(self.DATA))
+
+
+class TestJointRecord:
+    """The posterior and the predictive are one record, checked wherever
+    it is built: by posterior_joint, by predictive_joint or by hand."""
+
+    POST = posterior_joint(UniformJointPrior(w0=1.0, n0=1.0, l0=0.0, u0=1.0),
+                           suff_stats([0.2, 2.5, 1.0]))
+
+    def fields(self, **edit):
+        return {**dataclasses.asdict(self.POST), **edit}
+
+    def test_predictive_is_the_posterior_record(self):
+        pred = predictive_joint(self.POST)
+        assert dataclasses.fields(UniformJointPredictive) == \
+            dataclasses.fields(UniformJointPosterior)
+        assert dataclasses.asdict(pred) == dataclasses.asdict(self.POST)
+        assert (pred.w_n, pred.rho) == (self.POST.w_n, self.POST.rho)
+
+    @pytest.mark.parametrize("cls", [UniformJointPosterior,
+                                     UniformJointPredictive])
+    def test_evidence_outside_its_bracket_is_refused(self, cls):
+        n = self.POST.n_eff
+        for key, value in (("c_n", 2.0 / n), ("c_n", 0.0),
+                           ("c_n1", 0.5 / ((n + 1.0) * (n + 2.0)))):
+            with pytest.raises(ConvergenceError, match="outside its bound"):
+                cls(**self.fields(**{key: value}))
+
+    @pytest.mark.parametrize("cls", [UniformJointPosterior,
+                                     UniformJointPredictive])
+    @pytest.mark.parametrize("w0", [2.5 * (1.0 + 1e-15), 3.0, 0.0, -1.0,
+                                    math.nan])
+    def test_pole_outside_zero_to_w_n_is_refused(self, cls, w0):
+        with pytest.raises(DomainError, match="0 < w0 <= w_n"):
+            cls(**self.fields(w0=w0))
+
+    def test_pole_at_w_n_is_accepted(self):
+        post = posterior_joint(
+            UniformJointPrior(w0=2.5, n0=1.0, l0=0.0, u0=1.0),
+            suff_stats([0.0, 2.5, 1.0]))
+        assert post.w0 == post.w_n and post.rho == 1.0
+        assert predictive_joint(post).rho == 1.0
+
+    def test_mass_below_is_summed_once_per_predictive(self, monkeypatch):
+        # the mass below l_n is the one tail call at a scalar knee
+        knees = []
+        real = conjugate_uniform._tail_square
+
+        def counted(order, knee, pole):
+            knees.append(np.ndim(knee))
+            return real(order, knee, pole)
+
+        monkeypatch.setattr(conjugate_uniform, "_tail_square", counted)
+        pred = predictive_joint(self.POST)
+        x = np.array([-3.0, 0.5, 1.0, 4.0])
+        first = pred.cdf(x), pred.quantile(np.array([0.01, 0.5, 0.99]))
+        again = pred.cdf(x), pred.quantile(np.array([0.01, 0.5, 0.99]))
+        pred.cdf(0.7), pred.quantile(0.3)
+        assert knees.count(0) == 1
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a, b)
+        # a second predictive sums it again, to the same bits
+        other = predictive_joint(self.POST)
+        np.testing.assert_array_equal(other.cdf(x), first[0])
+        assert knees.count(0) == 2
 
 
 class TestJointPredictive:
