@@ -69,16 +69,18 @@ class ParetoLink(Distribution):
     def log_pdf(self, x):
         xa = np.asarray(x, dtype=float)
         y = self._y(xa)
-        ok = y >= self.scale
-        # fmax lifts y (NaN included) to the latent scale, where its log is
-        # finite; the points it lifts lie outside the support and read -inf
+        lo, hi = self.support()
+        # inside is decided against the reported edge, not against y, which
+        # rounds apart from it; fmax lifts y (NaN included) to the latent
+        # scale, where its log is finite, for a point at the edge whose y
+        # rounds below it and for the points outside, which read -inf
         body = (
             math.log(self.shape)
             + self.shape * math.log(self.scale)
             + self._log_jacobian(xa)
             - (self.shape + 1.0) * np.log(np.fmax(y, self.scale))
         )
-        return _ret(x, np.where(ok, body, -np.inf))
+        return _ret(x, np.where((xa >= lo) & (xa <= hi), body, -np.inf))
 
     def _tail(self, x):
         """P(Y >= y(x)), which is 1 below the latent scale."""

@@ -20,7 +20,7 @@ from tailbayes import (GPParams, Gamma, LogPower, Lomax, Pareto, Power,
                        ShiftedExp, Uniform)
 from tailbayes import pot_pipeline as pp
 from tailbayes.errors import DomainError
-from tailbayes.predictives import Trapezoid
+from tailbayes.predictives import ParetoLink, Trapezoid
 
 SPECIAL = (-math.inf, -1e300, -1.0, -0.0, 0.0, 5e-324, 2.5e-310, 1e300, math.inf)
 EDGE_PROBS = (5e-324, 1e-300, 1e-12, 0.5, 1.0 - 1e-12)
@@ -86,9 +86,9 @@ def test_special_points(name):
     for values in (log_pdf, pdf, cdf):
         assert values.shape == x.shape and not np.isnan(values).any()
     assert (pdf >= 0).all()
-    # the link predictives compute support() apart from their density, and
-    # the two edges can differ by an ulp, so only the special points are
-    # held to a zero density outside the support
+    # the special points are held here to a zero density outside the
+    # support; test_link_density_ends_at_the_reported_edge holds the float
+    # just outside each link predictive's edge
     special = np.isin(x, SPECIAL)
     assert (pdf[special & ((x < lo) | (x > hi))] == 0).all()
     np.testing.assert_allclose(np.exp(log_pdf), pdf, rtol=1e-12, atol=0)
@@ -100,6 +100,35 @@ def test_special_points(name):
             assert isinstance(got, float)
             assert got == pytest.approx(values[i], rel=SCALAR_TOL, abs=0), \
                 (method, point)
+
+
+LINK_CELLS = sorted(name for name, pred in PREDICTIVES.items()
+                    if isinstance(pred, ParetoLink))
+
+
+def test_link_cells():
+    assert LINK_CELLS == ["pareto/joint", "pareto/shape", "power/joint",
+                          "power/shape", "shifted_exp/joint",
+                          "shifted_exp/shape"]
+
+
+@pytest.mark.parametrize("name", LINK_CELLS)
+def test_link_density_ends_at_the_reported_edge(name):
+    # the edge support() reports and the density's own edge are one: zero
+    # one float outside it, positive at it, on fits of 1 to 60 values
+    spec, draw = next((s, d) for s, d in _cells()
+                      if f"{s.family}/{s.case}" == name)
+    direction = pp.CELLS[(spec.family, spec.case)].direction
+    rng = np.random.default_rng(7)
+    for size in (1, 2, 3, 5, 8, 13, 21, 40, 60) * 3:
+        pred = pp.predict(pp.fit(spec, pp.suff_stats(draw(rng, size))))
+        lo, hi = pred.support()
+        edge, outward = (lo, -math.inf) if direction == "lower" else (hi, math.inf)
+        outside = math.nextafter(edge, outward)
+        assert pred.pdf(outside) == 0.0 and pred.log_pdf(outside) == -math.inf
+        assert pred.pdf(edge) > 0.0
+        np.testing.assert_array_equal(pred.pdf(np.array([outside, edge])),
+                                      [0.0, pred.pdf(edge)])
 
 
 @pytest.mark.parametrize("name", sorted(EVALUATED))
