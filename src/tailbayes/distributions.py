@@ -139,14 +139,13 @@ class GPParams(Distribution):
             return _ret(x, out)
         t = np.maximum(1.0 + self.xi * z, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
+            # beyond the finite upper endpoint of xi < 0 the tail is 0, so
+            # the CDF saturates at 1
             tail = np.where(
                 t > 0,
                 np.exp(-np.log1p(np.where(t > 0, self.xi * z, 0.0)) / self.xi),
                 0.0 if self.xi < 0 else 1.0,
             )
-        if self.xi < 0:
-            # beyond the finite upper endpoint the CDF saturates at 1
-            tail = np.where(t > 0, tail, 0.0)
         out = np.where(z >= 0, 1.0 - tail, 0.0)
         return _ret(x, out)
 
@@ -270,21 +269,18 @@ class Power(Distribution):
 
     def log_pdf(self, x):
         xa = np.asarray(x, dtype=float)
-        inside = (xa > 0) & (xa < self.a)
+        log_x = 0.0   # b - 1 = 0 leaves no x term (nor 0 * log 0)
+        if self.b != 1.0:
+            # x held to [0, a], so log x is finite but at 0, where -inf
+            # times b - 1 is the density's own limit, -inf or +inf
+            with np.errstate(divide="ignore"):
+                log_x = np.log(xa.clip(0.0, self.a))
         body = (
             math.log(self.b)
-            + (self.b - 1.0) * np.log(xa, out=np.zeros(xa.shape), where=inside)
+            + (self.b - 1.0) * log_x
             - self.b * math.log(self.a)
         )
-        if self.b > 1.0:
-            at_zero = -np.inf
-        elif self.b == 1.0:
-            at_zero = -math.log(self.a)
-        else:
-            at_zero = np.inf
-        out = np.where(inside, body, -np.inf)
-        out = np.where(xa == 0.0, at_zero, out)
-        return _ret(x, out)
+        return _ret(x, np.where((xa >= 0.0) & (xa < self.a), body, -np.inf))
 
     def cdf(self, x):
         xa = np.asarray(x, dtype=float)
