@@ -248,9 +248,11 @@ def render_document(fitted: FittedModel, seed: int | None = None) -> str:
     """The state document: the model spec and the sufficient statistics
     as their dataclasses declare them, and the posterior and the known
     parameters as a record of the fit."""
+    # asdict copies a dict but cannot copy every Mapping that known may be
+    spec = dataclasses.replace(fitted.spec, known=dict(fitted.spec.known))
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "model_spec": dataclasses.asdict(fitted.spec),
+        "model_spec": dataclasses.asdict(spec),
         "posterior": _posterior_block(fitted.posterior),
         "suff_stats": dataclasses.asdict(fitted.stats),
         "known": dict(fitted.known),

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -219,6 +220,13 @@ class TestStateRoundTrip:
         text = laptop_state.read_text()
         fitted = cli.load_document(str(laptop_state))
         assert cli.render_document(fitted) == text
+
+    def test_known_may_be_any_mapping(self):
+        known = {"alpha": 1.2}
+        docs = [cli.render_document(fit(
+            ModelSpec("pareto", "location", noninformative=True, known=k),
+            suff_stats([3.0, 4.5]))) for k in (known, MappingProxyType(known))]
+        assert docs[0] == docs[1]
 
     def test_state_document_shape(self, laptop_state):
         doc = json.loads(laptop_state.read_text())
