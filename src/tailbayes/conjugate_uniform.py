@@ -556,14 +556,13 @@ class UniformJointPredictive(_JointRecord):
         is at worst about 1/(N+1), so the proposal batch is sized N+2
         per needed draw.
         """
-        rho = self.rho
         out = np.empty(size)
         filled = 0
         while filled < size:
             need = size - filled
             batch = int(min(4_000_000, max(2048, need * (self.n_eff + 2.0))))
             v = _uniforms(gen, batch) ** (-1.0 / self.n_eff)
-            keep = v[gen.random(batch) * (v - rho) < (v - 1.0)]
+            keep = v[gen.random(batch) * (v - self.rho) < (v - 1.0)]
             take = min(need, keep.size)
             out[filled:filled + take] = keep[:take]
             filled += take
