@@ -44,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Pareto, Uniform, _check_prob, _ret, _uniforms, as_generator
+from .distributions import (Pareto, Uniform, _check_prob, _points, _ret, _uniforms,
+                            as_generator)
 from .errors import (
     ConvergenceError,
     DataError,
@@ -431,8 +432,9 @@ class UniformJointPosterior(_JointRecord):
 
     def width_pdf(self, w):
         """Density of the width marginal at w (zero at or below w_n)."""
-        v = np.asarray(w, dtype=float) / self.w_n
-        with np.errstate(divide="ignore", invalid="ignore"):
+        v = _points(w) / self.w_n
+        # the power overflows only at v < 1, where the density reads 0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             body = v ** (-(self.n_eff + 1.0)) * (v - 1.0) / (v - self.rho)
         out = np.where(v > 1.0, body / (self.c_n * self.w_n), 0.0)
         return _ret(w, out)
@@ -446,7 +448,7 @@ class UniformJointPosterior(_JointRecord):
         taken, and w/w_n - 1 is formed as (w - w_n)/w_n, exact near w_n,
         so the mass keeps relative accuracy just above w_n.
         """
-        arr = np.atleast_1d(np.asarray(w, dtype=float))
+        arr = _points(w)
         gap = (arr - self.w_n) / self.w_n
         out = np.zeros(arr.shape)
         wide = gap > 0.0
@@ -500,7 +502,7 @@ class UniformJointPredictive(_JointRecord):
         return self._mass_beyond(self.l_n)
 
     def pdf(self, x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
+        arr = _points(x)
         out = np.full(arr.shape, self.flat_level)
         far = ~((arr >= self.l_n) & (arr <= self.u_n))
         out[far] = _tail_linear(self.n_eff + 1.0, self._sigma(arr[far]),
@@ -513,7 +515,7 @@ class UniformJointPredictive(_JointRecord):
             return np.log(dens) if np.ndim(dens) else float(np.log(dens))
 
     def cdf(self, x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
+        arr = _points(x)
         out = self._below + (arr - self.l_n) * self.flat_level
         low, high = arr < self.l_n, arr > self.u_n
         far = low | high
@@ -538,7 +540,7 @@ class UniformJointPredictive(_JointRecord):
         raise ConvergenceError("predictive quantile did not converge")
 
     def quantile(self, p):
-        prob = np.atleast_1d(_check_prob(p))
+        prob = _check_prob(p)
         out = self.l_n + (prob - self._below) / self.flat_level
         side = np.minimum(prob, 1.0 - prob)
         tail = side < self._below

@@ -1,10 +1,14 @@
 """Closed-form distributions with densities, CDFs, quantiles and samplers.
 
 Every distribution is a frozen dataclass exposing the same small surface:
-``log_pdf``, ``pdf``, ``cdf``, ``quantile``, ``sample`` and ``support``,
-with ``pdf``, ``quantile`` and ``sample`` written once in ``Distribution``.
-All evaluators accept scalars or numpy arrays.  Densities are computed in
-log space and exponentiated at the boundary of the call.
+``log_pdf``, ``pdf``, ``cdf``, ``quantile``, ``sample`` and ``support``.
+A subclass supplies ``support`` and its array math only: ``_log_pdf``,
+``_cdf`` and the inverse CDF ``_inv``, each taking and returning a float
+array.  ``Distribution`` writes the public evaluators once: they accept
+scalars or numpy arrays, evaluate a scalar as a one-point array, so that
+it gets the same bits as the same point inside an array, and return a
+float for a scalar.  Densities are computed in log space and
+exponentiated at the boundary of the call.
 
 Support intervals are closed on the left and open on the right: the pdf at
 an exact finite left endpoint returns its limiting value, the pdf at the
@@ -59,15 +63,22 @@ def _uniforms(rng, size):
     return np.maximum(u, 1e-300)
 
 
+def _points(x):
+    """x as a float array of at least one dimension: a scalar is a
+    one-point array."""
+    return np.atleast_1d(np.asarray(x, dtype=float))
+
+
 def _ret(x, out):
+    """out as a float array, or as a float when x was a scalar."""
     out = np.asarray(out, dtype=float)
     return out.item() if np.ndim(x) == 0 else out
 
 
 def _check_prob(p):
-    """p as a float array; DomainError unless every entry lies strictly
+    """p as _points does; DomainError unless every entry lies strictly
     inside (0, 1).  NaN propagates through min and max, so it is refused."""
-    p = np.asarray(p, dtype=float)
+    p = _points(p)
     if p.size and not (0.0 < p.min() and p.max() < 1.0):
         raise DomainError("probability must lie strictly inside (0, 1)")
     return p
@@ -81,19 +92,27 @@ def _require(cond: bool, msg: str) -> None:
 class Distribution:
     """Evaluation surface shared by every law here and in ``predictives``.
 
-    A subclass supplies ``log_pdf``, ``cdf``, ``support`` and the inverse
-    CDF ``_inv``; the density, quantile and sampler follow from them.
+    A subclass supplies ``support`` and the array methods ``_log_pdf``,
+    ``_cdf`` and the inverse CDF ``_inv``; the public evaluators convert
+    their input once, through ``_points`` or ``_check_prob``, and give a
+    float back for a scalar.
     """
 
+    def log_pdf(self, x):
+        return _ret(x, self._log_pdf(_points(x)))
+
     def pdf(self, x):
-        return _ret(x, np.exp(self.log_pdf(x)))
+        return _ret(x, np.exp(self._log_pdf(_points(x))))
+
+    def cdf(self, x):
+        return _ret(x, self._cdf(_points(x)))
 
     def quantile(self, p):
         return _ret(p, self._inv(_check_prob(p)))
 
     def sample(self, rng, size=None):
-        u = _uniforms(rng, size)
-        return _ret(u if size is not None else 0.0, self._inv(u))
+        out = self._inv(_uniforms(rng, 1 if size is None else size))
+        return out.item() if size is None else out
 
 
 @dataclass(frozen=True)
@@ -116,41 +135,37 @@ class GPParams(Distribution):
             return (self.theta, self.theta - self.sigma / self.xi)
         return (self.theta, math.inf)
 
-    def log_pdf(self, x):
-        xa = np.asarray(x, dtype=float)
+    def _log_pdf(self, xa):
         z = (xa - self.theta) / self.sigma
         if abs(self.xi) < XI_ZERO_TOL:
-            out = np.where(z >= 0, -z - math.log(self.sigma), -np.inf)
-            return _ret(x, out)
+            return np.where(z >= 0, -z - math.log(self.sigma), -np.inf)
         t = 1.0 + self.xi * z
         with np.errstate(divide="ignore", invalid="ignore"):
             # log1p keeps the xi -> 0 region free of cancellation
             body = -math.log(self.sigma) - (1.0 / self.xi + 1.0) * np.log1p(
                 np.where(t > 0, self.xi * z, 0.0)
             )
-        out = np.where((z >= 0) & (t > 0), body, -np.inf)
-        return _ret(x, out)
+        return np.where((z >= 0) & (t > 0), body, -np.inf)
 
-    def cdf(self, x):
-        xa = np.asarray(x, dtype=float)
+    def _cdf(self, xa):
         z = (xa - self.theta) / self.sigma
         if abs(self.xi) < XI_ZERO_TOL:
-            out = np.where(z >= 0, -np.expm1(-np.maximum(z, 0.0)), 0.0)
-            return _ret(x, out)
-        t = np.maximum(1.0 + self.xi * z, 0.0)
+            return np.where(z >= 0, -np.expm1(-np.maximum(z, 0.0)), 0.0)
+        # z held to 0 below the support, which reads 0 anyway: there the
+        # tail would overflow
+        xz = self.xi * np.maximum(z, 0.0)
+        t = np.maximum(1.0 + xz, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             # beyond the finite upper endpoint of xi < 0 the tail is 0, so
             # the CDF saturates at 1
             tail = np.where(
                 t > 0,
-                np.exp(-np.log1p(np.where(t > 0, self.xi * z, 0.0)) / self.xi),
+                np.exp(-np.log1p(np.where(t > 0, xz, 0.0)) / self.xi),
                 0.0 if self.xi < 0 else 1.0,
             )
-        out = np.where(z >= 0, 1.0 - tail, 0.0)
-        return _ret(x, out)
+        return np.where(z >= 0, 1.0 - tail, 0.0)
 
     def _inv(self, p):
-        p = np.asarray(p, dtype=float)
         if abs(self.xi) < XI_ZERO_TOL:
             return self.theta - self.sigma * np.log1p(-p)
         z = np.expm1(-self.xi * np.log1p(-p)) / self.xi
@@ -171,8 +186,7 @@ class Pareto(Distribution):
     def support(self) -> tuple[float, float]:
         return (self.l, math.inf)
 
-    def log_pdf(self, x):
-        xa = np.asarray(x, dtype=float)
+    def _log_pdf(self, xa):
         # fmax lifts x (NaN included) to l, where its log is finite; the
         # points it lifts lie below the support and read -inf
         body = (
@@ -180,16 +194,15 @@ class Pareto(Distribution):
             + self.alpha * math.log(self.l)
             - (self.alpha + 1.0) * np.log(np.fmax(xa, self.l))
         )
-        return _ret(x, np.where(xa >= self.l, body, -np.inf))
+        return np.where(xa >= self.l, body, -np.inf)
 
-    def cdf(self, x):
-        xa = np.asarray(x, dtype=float)
+    def _cdf(self, xa):
         # the ratio is 1 below l, so the cdf is exactly 0 there
         ratio = np.divide(self.l, xa, out=np.ones(xa.shape), where=xa >= self.l)
-        return _ret(x, 1.0 - ratio**self.alpha)
+        return 1.0 - ratio**self.alpha
 
     def _inv(self, p):
-        return self.l * (1.0 - np.asarray(p, dtype=float)) ** (-1.0 / self.alpha)
+        return self.l * (1.0 - p) ** (-1.0 / self.alpha)
 
 
 @dataclass(frozen=True)
@@ -206,23 +219,19 @@ class Lomax(Distribution):
     def support(self) -> tuple[float, float]:
         return (0.0, math.inf)
 
-    def log_pdf(self, x):
-        xa = np.asarray(x, dtype=float)
+    def _log_pdf(self, xa):
         body = (
             math.log(self.alpha)
             + self.alpha * math.log(self.l)
             - (self.alpha + 1.0) * np.log(np.abs(xa) + self.l)
         )
-        out = np.where(xa >= 0, body, -np.inf)
-        return _ret(x, out)
+        return np.where(xa >= 0, body, -np.inf)
 
-    def cdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        out = np.where(xa >= 0, 1.0 - (self.l / (np.abs(xa) + self.l)) ** self.alpha, 0.0)
-        return _ret(x, out)
+    def _cdf(self, xa):
+        return np.where(xa >= 0, 1.0 - (self.l / (np.abs(xa) + self.l)) ** self.alpha, 0.0)
 
     def _inv(self, p):
-        return self.l * ((1.0 - np.asarray(p, dtype=float)) ** (-1.0 / self.alpha) - 1.0)
+        return self.l * ((1.0 - p) ** (-1.0 / self.alpha) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -238,19 +247,15 @@ class ShiftedExp(Distribution):
     def support(self) -> tuple[float, float]:
         return (self.l, math.inf)
 
-    def log_pdf(self, x):
-        xa = np.asarray(x, dtype=float)
+    def _log_pdf(self, xa):
         body = math.log(self.alpha) - self.alpha * (xa - self.l)
-        out = np.where(xa >= self.l, body, -np.inf)
-        return _ret(x, out)
+        return np.where(xa >= self.l, body, -np.inf)
 
-    def cdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        out = np.where(xa >= self.l, -np.expm1(-self.alpha * np.maximum(xa - self.l, 0.0)), 0.0)
-        return _ret(x, out)
+    def _cdf(self, xa):
+        return np.where(xa >= self.l, -np.expm1(-self.alpha * np.maximum(xa - self.l, 0.0)), 0.0)
 
     def _inv(self, p):
-        return self.l - np.log1p(-np.asarray(p, dtype=float)) / self.alpha
+        return self.l - np.log1p(-p) / self.alpha
 
 
 @dataclass(frozen=True)
@@ -267,8 +272,7 @@ class Power(Distribution):
     def support(self) -> tuple[float, float]:
         return (0.0, self.a)
 
-    def log_pdf(self, x):
-        xa = np.asarray(x, dtype=float)
+    def _log_pdf(self, xa):
         log_x = 0.0   # b - 1 = 0 leaves no x term (nor 0 * log 0)
         if self.b != 1.0:
             # x held to [0, a], so log x is finite but at 0, where -inf
@@ -280,15 +284,13 @@ class Power(Distribution):
             + (self.b - 1.0) * log_x
             - self.b * math.log(self.a)
         )
-        return _ret(x, np.where((xa >= 0.0) & (xa < self.a), body, -np.inf))
+        return np.where((xa >= 0.0) & (xa < self.a), body, -np.inf)
 
-    def cdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        frac = (xa / self.a).clip(0.0, 1.0)
-        return _ret(x, frac**self.b)
+    def _cdf(self, xa):
+        return (xa / self.a).clip(0.0, 1.0) ** self.b
 
     def _inv(self, p):
-        return self.a * np.asarray(p, dtype=float) ** (1.0 / self.b)
+        return self.a * p ** (1.0 / self.b)
 
 
 @dataclass(frozen=True)
@@ -304,19 +306,16 @@ class LogPower(Distribution):
     def support(self) -> tuple[float, float]:
         return (-math.inf, self.a)
 
-    def log_pdf(self, x):
-        xa = np.asarray(x, dtype=float)
+    def _log_pdf(self, xa):
         body = math.log(self.b) + self.b * (xa - self.a)
-        out = np.where(xa < self.a, body, -np.inf)
-        return _ret(x, out)
+        return np.where(xa < self.a, body, -np.inf)
 
-    def cdf(self, x):
-        xa = np.asarray(x, dtype=float)
+    def _cdf(self, xa):
         out = np.exp(self.b * np.minimum(xa - self.a, 0.0))
-        return _ret(x, np.where(xa >= self.a, 1.0, out))
+        return np.where(xa >= self.a, 1.0, out)
 
     def _inv(self, p):
-        return self.a + np.log(np.asarray(p, dtype=float)) / self.b
+        return self.a + np.log(p) / self.b
 
 
 @dataclass(frozen=True)
@@ -332,18 +331,15 @@ class Uniform(Distribution):
     def support(self) -> tuple[float, float]:
         return (self.l, self.u)
 
-    def log_pdf(self, x):
-        xa = np.asarray(x, dtype=float)
+    def _log_pdf(self, xa):
         body = -math.log(self.u - self.l)
-        out = np.where((xa >= self.l) & (xa < self.u), body, -np.inf)
-        return _ret(x, out)
+        return np.where((xa >= self.l) & (xa < self.u), body, -np.inf)
 
-    def cdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        return _ret(x, ((xa - self.l) / (self.u - self.l)).clip(0.0, 1.0))
+    def _cdf(self, xa):
+        return ((xa - self.l) / (self.u - self.l)).clip(0.0, 1.0)
 
     def _inv(self, p):
-        return self.l + (self.u - self.l) * np.asarray(p, dtype=float)
+        return self.l + (self.u - self.l) * p
 
 
 @dataclass(frozen=True)
@@ -364,10 +360,9 @@ class Gamma(Distribution):
     def support(self) -> tuple[float, float]:
         return (0.0, math.inf)
 
-    def log_pdf(self, x):
+    def _log_pdf(self, xa):
         from scipy import special
 
-        xa = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             body = (
                 self.shape * math.log(self.rate)
@@ -381,19 +376,17 @@ class Gamma(Distribution):
                 else (math.log(self.rate) if self.shape == 1.0 else np.inf)
             )
         out = np.where(xa > 0, body, -np.inf)
-        out = np.where(xa == 0.0, at_zero, out)
-        return _ret(x, out)
+        return np.where(xa == 0.0, at_zero, out)
 
-    def cdf(self, x):
+    def _cdf(self, xa):
         from scipy import special
 
-        xa = np.asarray(x, dtype=float)
-        return _ret(x, special.gammainc(self.shape, self.rate * np.maximum(xa, 0.0)))
+        return special.gammainc(self.shape, self.rate * np.maximum(xa, 0.0))
 
     def _inv(self, p):
         from scipy import special
 
-        return special.gammaincinv(self.shape, np.asarray(p, dtype=float)) / self.rate
+        return special.gammaincinv(self.shape, p) / self.rate
 
     def mean(self) -> float:
         return self.shape / self.rate
@@ -420,7 +413,7 @@ class GPMapping:
     orientation: str
 
     def transform(self, x):
-        xa = np.asarray(x, dtype=float)
+        xa = _points(x)
         if self.orientation == "identity":
             out = xa
         elif self.orientation == "negated":
@@ -431,7 +424,7 @@ class GPMapping:
 
     def jacobian(self, x):
         """|d transform / dx|, for change-of-variables checks."""
-        xa = np.asarray(x, dtype=float)
+        xa = _points(x)
         if self.orientation == "reciprocal":
             out = 1.0 / xa**2
         else:

@@ -5,7 +5,10 @@ link function of the observable (log, shift, negated log), plus the
 trapezoid that arises when predicting from an interval posterior over a
 location.  Each class carries the same evaluation surface as the
 distributions module: ``log_pdf``/``pdf``, ``cdf``, ``quantile``,
-``sample``, ``support``.
+``sample``, ``support``, written once in ``Distribution``.  A class here
+supplies ``support`` and the array methods ``_log_pdf``, ``_cdf`` and
+``_inv``, so a scalar is evaluated as a one-point array; ``Trapezoid``
+supplies its density, which is primary there, as ``_density``.
 
 Link classes are parameterized by the latent Pareto ``shape`` and
 ``scale`` and by the link's ``offset`` and ``anchor``:
@@ -27,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, _ret
-from .errors import DomainError
+from .distributions import Distribution, _points, _require, _ret
 
 __all__ = [
     "ParetoLink",
@@ -42,18 +44,13 @@ __all__ = [
 _TINY = 5e-324     # the least positive float
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise DomainError(msg)
-
-
 @dataclass(frozen=True)
 class ParetoLink(Distribution):
     """Shared body of the link predictives: y(x) ~ Pareto(shape, scale).
 
     A subclass supplies the link ``_y`` (+-inf outside its domain), the
     log-Jacobian ``_log_jacobian`` = log|dy/dx|, the inverse ``_x`` and
-    the ``support``.  ``cdf`` and ``_inv`` here are those of a link that
+    the ``support``.  ``_cdf`` and ``_inv`` here are those of a link that
     rises in x; a falling link overrides both.
     """
 
@@ -66,8 +63,7 @@ class ParetoLink(Distribution):
         _require(self.shape > 0, "shape must be positive")
         _require(self.scale > 0, "scale must be positive")
 
-    def log_pdf(self, x):
-        xa = np.asarray(x, dtype=float)
+    def _log_pdf(self, xa):
         y = self._y(xa)
         lo, hi = self.support()
         # inside is decided against the reported edge, not against y, which
@@ -80,22 +76,21 @@ class ParetoLink(Distribution):
             + self._log_jacobian(xa)
             - (self.shape + 1.0) * np.log(np.fmax(y, self.scale))
         )
-        return _ret(x, np.where((xa >= lo) & (xa <= hi), body, -np.inf))
+        return np.where((xa >= lo) & (xa <= hi), body, -np.inf)
 
-    def _tail(self, x):
+    def _tail(self, xa):
         """P(Y >= y(x)), which is 1 below the latent scale."""
-        y = self._y(np.asarray(x, dtype=float))
-        return (self.scale / np.fmax(y, self.scale)) ** self.shape
+        return (self.scale / np.fmax(self._y(xa), self.scale)) ** self.shape
 
     def _y_at_tail(self, q):
         """The latent y with P(Y >= y) = q."""
-        return self.scale * np.asarray(q, dtype=float) ** (-1.0 / self.shape)
+        return self.scale * q ** (-1.0 / self.shape)
 
-    def cdf(self, x):
-        return _ret(x, 1.0 - self._tail(x))
+    def _cdf(self, xa):
+        return 1.0 - self._tail(xa)
 
     def _inv(self, p):
-        return self._x(self._y_at_tail(1.0 - np.asarray(p, dtype=float)))
+        return self._x(self._y_at_tail(1.0 - p))
 
 
 def _log_positive(xa):
@@ -168,9 +163,9 @@ class ParetoNegLogLink(ParetoLink):
     def support(self) -> tuple[float, float]:
         return (0.0, self.anchor * math.exp(self.offset - self.scale))
 
-    def cdf(self, x):
+    def _cdf(self, xa):
         # y falls in x, so the latent upper tail is the lower tail of x
-        return _ret(x, self._tail(x))
+        return self._tail(xa)
 
     def _inv(self, p):
         return self._x(self._y_at_tail(p))
@@ -218,28 +213,28 @@ class Trapezoid(Distribution):
         return (self.lower, self.upper)
 
     def pdf(self, x):
-        xa = np.asarray(x, dtype=float)
+        return _ret(x, self._density(_points(x)))
+
+    def _density(self, xa):
         xc = self._clip(xa)
         h = self.height
         up = h * (xc - self.lower) / (self.flat_lo - self.lower)
         down = h * (self.upper - xc) / (self.upper - self.flat_hi)
         # up is 0 below lower; NaN falls through to 0
-        out = np.where(xa < self.flat_lo, up,
-                       np.where(xa < self.flat_hi, h,
-                                np.where(xa < self.upper, down, 0.0)))
-        return _ret(x, out)
+        return np.where(xa < self.flat_lo, up,
+                        np.where(xa < self.flat_hi, h,
+                                 np.where(xa < self.upper, down, 0.0)))
 
     def _clip(self, xa):
         """x held to [lower, upper], where the ramps are read: far outside,
         their products and squares would overflow."""
         return xa.clip(self.lower, self.upper)
 
-    def log_pdf(self, x):
-        dens = np.asarray(self.pdf(x))
-        return _ret(x, np.log(dens, out=np.full(dens.shape, -np.inf), where=dens > 0))
+    def _log_pdf(self, xa):
+        dens = self._density(xa)
+        return np.log(dens, out=np.full(dens.shape, -np.inf), where=dens > 0)
 
-    def cdf(self, x):
-        xa = np.asarray(x, dtype=float)
+    def _cdf(self, xa):
         xc = self._clip(xa)
         h = self.height
         r1 = self.flat_lo - self.lower
@@ -249,20 +244,18 @@ class Trapezoid(Distribution):
         mid = c1 + h * (xc - self.flat_lo)
         ramp2 = 1.0 - 0.5 * h * (self.upper - xc) ** 2 / r2
         # ramp1 is 0 below lower; NaN falls through to 1
-        out = np.where(xa < self.flat_lo, ramp1,
-                       np.where(xa < self.flat_hi, mid,
-                                np.where(xa < self.upper, ramp2, 1.0)))
-        return _ret(x, out)
+        return np.where(xa < self.flat_lo, ramp1,
+                        np.where(xa < self.flat_hi, mid,
+                                 np.where(xa < self.upper, ramp2, 1.0)))
 
     def _inv(self, p):
         # 0 < p < 1, so both square roots take positive arguments
-        pa = np.asarray(p, dtype=float)
         h = self.height
         r1 = self.flat_lo - self.lower
         r2 = self.upper - self.flat_hi
         c1 = 0.5 * h * r1
         c2 = c1 + h * (self.flat_hi - self.flat_lo)
-        in_ramp1 = self.lower + np.sqrt(2.0 * pa * r1 / h)
-        in_mid = self.flat_lo + (pa - c1) / h
-        in_ramp2 = self.upper - np.sqrt(2.0 * (1.0 - pa) * r2 / h)
-        return np.where(pa <= c1, in_ramp1, np.where(pa <= c2, in_mid, in_ramp2))
+        in_ramp1 = self.lower + np.sqrt(2.0 * p * r1 / h)
+        in_mid = self.flat_lo + (p - c1) / h
+        in_ramp2 = self.upper - np.sqrt(2.0 * (1.0 - p) * r2 / h)
+        return np.where(p <= c1, in_ramp1, np.where(p <= c2, in_mid, in_ramp2))

@@ -32,3 +32,20 @@ def test_stream_matches_golden_bit_for_bit():
     assert not moved, f"{len(moved)} value(s) moved, first: {moved[:5]}"
     assert got == want
     assert len(got["cells"]) == 12
+
+
+def test_recorded_scalars_equal_their_array_values():
+    # a scalar is evaluated as a one-point array, so each grid point has
+    # one value, alone or inside the grid
+    record = json.loads(_generator().GOLDEN.read_text())
+    compared, unequal = 0, []
+    for cell, steps in record["cells"].items():
+        for i, step in enumerate(steps):
+            for method in ("log_pdf", "pdf", "cdf"):
+                together, alone = step[method], step["scalar"][method]
+                assert len(alone) == len(together) == len(step["grid"])
+                compared += len(alone)
+                unequal += [f"{cell}[{i}].{method}[{j}]"
+                            for j, (a, b) in enumerate(zip(together, alone)) if a != b]
+    assert compared == 3483
+    assert not unequal, unequal
