@@ -267,7 +267,8 @@ def load_document(path: str) -> FittedModel:
     posterior and top-level known blocks are a record of the fit that
     nothing reads.  The model_spec, prior and suff_stats blocks are read
     by keyword, so a missing or unknown key makes the state malformed, as
-    does a block that is not an object."""
+    does a block that is not an object, or a value that ModelSpec
+    refuses."""
     text = _read_text(path, "state file")
     try:
         doc = json.loads(text)
@@ -284,11 +285,15 @@ def load_document(path: str) -> FittedModel:
             raise ValueError(f"model_spec has keys {sorted(ms)}, not {sorted(names)}")
         prior = ms["prior"]
         if prior is not None:
-            prior = CELLS[ms["family"], ms["case"]].prior(**prior)
+            cell = CELLS.get((ms["family"], ms["case"]))
+            if cell is None:
+                raise ValueError(f"unknown family/case pair: "
+                                 f"{ms['family']}/{ms['case']}")
+            prior = cell.prior(**prior)
         known = {k: float(v) for k, v in ms["known"].items()}
         spec = ModelSpec(**{**ms, "prior": prior, "known": known})
         stats = SuffStats(**doc["suff_stats"])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, UsageError) as exc:
         raise DataError(f"state file {path} is malformed: {exc}") from None
     return fit(spec, stats)
 

@@ -167,9 +167,11 @@ class ModelSpec:
                 f"not {self.case!r}"
             )
         if self.view not in ("raw", "excess"):
-            raise UsageError("view must be 'raw' or 'excess'")
+            raise UsageError(f"view must be 'raw' or 'excess', not {self.view!r}")
         if (self.prior is None) == (not self.noninformative):
-            raise UsageError("give exactly one of a prior or noninformative=True")
+            raise UsageError("give exactly one of a prior or noninformative=True, "
+                             f"not noninformative={self.noninformative!r} with "
+                             f"prior {self.prior!r}")
 
 
 @dataclass(frozen=True)

@@ -332,7 +332,8 @@ class TestCellDocuments:
             assert capsys.readouterr().out == expected
 
 
-GOLDEN_STATES = sorted((Path(__file__).parent / "data" / "states").glob("*.json"))
+STATES = Path(__file__).parent / "data" / "states"
+GOLDEN_STATES = sorted(STATES.glob("*.json"))
 
 
 class TestGoldenStates:
@@ -544,6 +545,29 @@ class TestStateIsRefit:
         state.write_text(json.dumps(doc))
         assert cli.main(["predict", "--state", str(state)]) == 3
         assert "is malformed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,edit,named", [
+        ("pareto-location-noninformative", {"family": "bogus"}, "'bogus'"),
+        ("pareto-location-noninformative", {"view": "sideways"}, "'sideways'"),
+        ("pareto-location-noninformative", {"noninformative": False},
+         "noninformative=False"),
+        ("pareto-location-prior", {"family": "bogus"}, "bogus/location"),
+        ("pareto-location-prior", {"case": "width"}, "pareto/width"),
+    ], ids=["family-null-prior", "view", "neither-prior-nor-noninformative",
+            "family-with-prior", "case-with-prior"])
+    def test_model_spec_value_refused_exits_3(self, tmp_path, capsys, name,
+                                              edit, named):
+        # a value ModelSpec refuses, or a (family, case) pair with no cell,
+        # is a fault of the state file, not of the command line
+        doc = json.loads((STATES / f"{name}.json").read_text())
+        doc["model_spec"].update(edit)
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(doc))
+        for command in ("predict", "support"):
+            assert cli.main([command, "--state", str(state)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: state file {state} is malformed: ")
+            assert named in err
 
     def test_min_above_max_exits_3(self, tmp_path, capsys):
         state, _ = noninformative_state(tmp_path, "uniform", "width", "l=1")
