@@ -65,7 +65,7 @@ def main() -> None:
               f"{theta + float(pred.quantile(p_excess)):14.2f}")
 
     holdout = simulate_latencies(rng, args.n)
-    held_excesses = holdout[holdout > theta] - theta
+    held_excesses = fitted.spec.exceedances(holdout)
     score = holdout_log_predictive(pred, held_excesses)
     if score == -math.inf:
         print("held-out excesses rejected by the predictive")

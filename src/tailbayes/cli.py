@@ -369,20 +369,30 @@ def _build_spec(args) -> ModelSpec:
                      known=known, view=getattr(args, "view", "raw"))
 
 
+def _exceedances(fitted: FittedModel, values):
+    """values as the fitted model reads them; a model with a threshold
+    keeps its exceedances and says how many on stderr, as pot does."""
+    kept = fitted.spec.exceedances(values)
+    if fitted.spec.threshold is not None:
+        print(f"exceedances: {len(kept)}", file=sys.stderr)
+    return kept
+
+
 def _cmd_fit(args) -> int:
     values = ingest(args.data, args.format, args.column, args.field)
-    stats = suff_stats(values)
     if args.update:
         if args.state is None:
             raise UsageError("--update needs --state with the previous fit")
         if args.family or args.case or args.prior or args.noninformative or args.known:
             raise UsageError("--update takes the model from --state; "
                              "drop the model flags")
-        fitted = sequential_update(load_document(args.state), stats)
+        previous = load_document(args.state)
+        fitted = sequential_update(previous,
+                                   suff_stats(_exceedances(previous, values)))
     else:
         if args.state is not None:
             raise UsageError("--state on fit only makes sense with --update")
-        fitted = fit(_build_spec(args), stats)
+        fitted = fit(_build_spec(args), suff_stats(values))
     _emit(render_document(fitted, seed=args.seed), args.out)
     if args.out is not None:
         print(f"wrote {args.out}", file=sys.stderr)
@@ -413,7 +423,7 @@ def _cmd_validate(args) -> int:
     fitted = load_document(args.state)
     pred = predict(fitted)
     holdout = ingest(args.holdout, args.format, args.column, args.field)
-    score = holdout_log_predictive(pred, holdout)
+    score = holdout_log_predictive(pred, _exceedances(fitted, holdout))
     if score == -math.inf:
         print("model rejected by holdout")
     else:

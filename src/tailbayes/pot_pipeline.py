@@ -147,7 +147,9 @@ class ModelSpec:
     non-informative limit with the case's known parameters.
 
     view records whether threshold exceedances enter raw or as excesses
-    x - threshold; threshold echoes the value used, when any.
+    x - threshold; threshold echoes the value used, when any.  New data
+    enter a model with a threshold through exceedances, as the data it
+    was fitted to did.
     """
 
     family: str
@@ -172,6 +174,16 @@ class ModelSpec:
             raise UsageError("give exactly one of a prior or noninformative=True, "
                              f"not noninformative={self.noninformative!r} with "
                              f"prior {self.prior!r}")
+
+    def exceedances(self, data):
+        """The values of data that this model reads: with a threshold, those
+        strictly above it, less the threshold under view="excess"; with
+        none, data unchanged."""
+        if self.threshold is None:
+            return data
+        arr = np.asarray(data, dtype=float)
+        arr = arr[arr > self.threshold]
+        return arr - self.threshold if self.view == "excess" else arr
 
 
 @dataclass(frozen=True)
@@ -282,12 +294,13 @@ def pot_fit(data, k: int, spec: ModelSpec):
     """Select a threshold, fit the exceedances, and echo the pieces.
 
     Exceedances enter raw or as excesses over the threshold, per
-    spec.view.  Returns (fitted model, theta, fitted values).
+    spec.view, as ModelSpec.exceedances reads them.  Returns (fitted
+    model, theta, fitted values).
     """
     theta, exceed = select_threshold(data, k)
-    values = exceed if spec.view == "raw" else exceed - theta
-    fitted = fit(replace(spec, threshold=theta), suff_stats(values))
-    return fitted, theta, values
+    spec = replace(spec, threshold=theta)
+    values = spec.exceedances(exceed)
+    return fit(spec, suff_stats(values)), theta, values
 
 
 def holdout_log_predictive(predictive, holdout) -> float:

@@ -24,7 +24,8 @@ from tailbayes import conjugate_pareto as cpar
 from tailbayes import conjugate_power as cpow
 from tailbayes import conjugate_uniform as cuni
 from tailbayes.errors import DataError, DomainError, UsageError
-from tailbayes.pot_pipeline import CELLS, ModelSpec, fit, suff_stats
+from tailbayes.pot_pipeline import (CELLS, ModelSpec, fit, holdout_log_predictive,
+                                   merge, predict, suff_stats)
 
 EXACT_TOL = 1e-12
 SRC = Path(tailbayes.__file__).resolve().parents[1]
@@ -841,6 +842,39 @@ class TestPotCommand:
         doc = json.loads(state.read_text())
         assert doc["model_spec"]["threshold"] == 96.0
         assert doc["posterior"]["l_n"] == 97.0
+
+    @pytest.mark.parametrize("view", ["raw", "excess"])
+    def test_update_and_validate_read_through_the_threshold(self, tmp_path,
+                                                            capsys, view):
+        # new data enter a pot state as its own data did: the values
+        # strictly above the threshold, less the threshold for excesses
+        rng = np.random.default_rng(7)
+        data = write_lines(tmp_path / "lat.csv", rng.exponential(2.0, 300))
+        new = rng.exponential(2.0, 400)
+        state, updated = tmp_path / "pot.json", tmp_path / "updated.json"
+        assert cli.main(["pot", "--data", data, "--k", "30",
+                         "--family", "shifted_exp", "--case", "shape",
+                         "--noninformative", "--known", "l=0", "--view", view,
+                         "--out", str(state)]) == 0
+        old = cli.load_document(str(state))
+        theta = old.spec.threshold
+        kept = new[new > theta]
+        if view == "excess":
+            kept = kept - theta
+        assert 0 < kept.size < new.size
+        new_csv = write_lines(tmp_path / "new.csv", new)
+        capsys.readouterr()
+        assert cli.main(["fit", "--update", "--state", str(state),
+                         "--data", new_csv, "--out", str(updated)]) == 0
+        assert f"exceedances: {kept.size}\n" in capsys.readouterr().err
+        assert cli.load_document(str(updated)).stats == merge(old.stats,
+                                                              suff_stats(kept))
+        assert cli.main(["validate", "--state", str(state),
+                         "--holdout", new_csv]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"exceedances: {kept.size}\n"
+        score = holdout_log_predictive(predict(old), kept)
+        assert captured.out == f"holdout log predictive: {score!r}\n"
 
     def test_pot_state_reloads_for_support(self, tmp_path, capsys):
         data = write_lines(tmp_path / "lat.csv", [float(i) for i in range(1, 101)])
