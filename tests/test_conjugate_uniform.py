@@ -15,6 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from mpmath import mp
 from scipy import integrate, stats as sps
 
 from tailbayes import conjugate_uniform
@@ -382,7 +383,6 @@ MP_DPS = 30  # F_3 at a = 1e7 cancels 14 digits between its Lerch terms
 @functools.lru_cache(maxsize=None)
 def _mp_lerch(r, a):
     """Lerch transcendent Phi(r, 1, a) = sum_k r**k / (a+k) at MP_DPS."""
-    mp = pytest.importorskip("mpmath").mp
     with mp.workdps(MP_DPS):
         return mp.lerchphi(mp.mpf(r), 1, mp.mpf(a))
 
@@ -390,7 +390,6 @@ def _mp_lerch(r, a):
 def _mp_series(p, a, r):
     """F_p(a, r) = sum_k r**k / ((a+k)...(a+k+p-1)) by partial fractions
     into Lerch transcendents, for float r and a."""
-    mp = pytest.importorskip("mpmath").mp
     with mp.workdps(MP_DPS):
         if r == 0.0:
             return float(1 / mp.rf(mp.mpf(a), p))
@@ -670,7 +669,6 @@ class TestJointPosterior:
     def test_width_cdf_relative_accuracy_above_w_n(self, n_eff, ratio):
         # the mass within w_n * 10**-k of w_n, against mpmath's integral of
         # the width density over [w_n, w] at the exact float w
-        mp = pytest.importorskip("mpmath").mp
         prior = UniformJointPrior(w0=ratio * 3.7, n0=n_eff - 2.0, l0=1.0,
                                   u0=4.7)
         post = posterior_joint(prior, suff_stats([1.0, 4.7]))
