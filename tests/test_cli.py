@@ -820,6 +820,16 @@ class TestReports:
         assert len(lines) == 1 + 4 * 500
         assert lines[1].endswith("power alpha=0.5")
 
+    @pytest.mark.parametrize("figure", ["pareto", "exp"])
+    def test_plotdata_pareto_and_exp(self, tmp_path, figure):
+        out = tmp_path / "curves.csv"
+        assert cli.main(["plotdata", "--figure", figure, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "x,pdf,label" and len(lines) == 1 + 4 * 501
+        x, pdf, label = lines[1].split(",")
+        # every curve starts at its lower bound 1, where alpha = 0.5 reads 0.5
+        assert (float(x), float(pdf), label) == (1.0, 0.5, f"{figure} alpha=0.5")
+
     def test_plotdata_gp_covers_both_tail_signs(self, tmp_path):
         out = tmp_path / "gp.csv"
         assert cli.main(["plotdata", "--figure", "gp", "--out", str(out)]) == 0
