@@ -66,17 +66,16 @@ def _uniforms(rng, size):
 def _points(x):
     """x as a float array of at least one dimension: a scalar is a
     one-point array."""
-    return np.atleast_1d(np.asarray(x, dtype=float))
+    return np.array(x, dtype=float, copy=None, ndmin=1)
 
 
 def _ret(x, out):
-    """out as a float array, or as a float when x was a scalar."""
-    out = np.asarray(out, dtype=float)
+    """The float array out, or its one value when x was a scalar."""
     return out.item() if np.ndim(x) == 0 else out
 
 
 def _check_prob(p):
-    """p as _points does; DomainError unless every entry lies strictly
+    """p as _points gives it; DomainError unless every entry lies strictly
     inside (0, 1).  NaN propagates through min and max, so it is refused."""
     p = _points(p)
     if p.size and not (0.0 < p.min() and p.max() < 1.0):
