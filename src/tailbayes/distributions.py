@@ -66,7 +66,8 @@ def _uniforms(rng, size):
 def _points(x):
     """x as a float array of at least one dimension: a scalar is a
     one-point array."""
-    return np.array(x, dtype=float, copy=None, ndmin=1)
+    xa = np.asarray(x, dtype=float)
+    return xa.reshape(1) if xa.ndim == 0 else xa
 
 
 def _ret(x, out):
