@@ -44,8 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (Pareto, Uniform, _check_prob, _points, _ret, _uniforms,
-                            as_generator)
+from .distributions import Distribution, Pareto, Uniform, _points, _ret
 from .errors import (
     ConvergenceError,
     DataError,
@@ -464,7 +463,7 @@ class UniformJointPosterior(_JointRecord):
 
 
 @dataclass(frozen=True)
-class UniformJointPredictive(_JointRecord):
+class UniformJointPredictive(_JointRecord, Distribution):
     """Posterior predictive of the joint case, supported on all reals.
 
     Mixing Uniform(l, l+w) over the joint posterior gives
@@ -477,7 +476,10 @@ class UniformJointPredictive(_JointRecord):
     identity 2*Q(N+1, w_n) + w_n*K(N+1, w_n) = C(N), which the series
     satisfy term by term: the cdf is 1/2 at the midpoint up to rounding.
     It is the posterior's record, so its fields and checks are
-    _JointRecord's.
+    _JointRecord's, and a Distribution, which writes its public
+    evaluators and its sampler: it supplies the array methods ``_pdf``
+    (its density is primary, and ``_log_pdf`` is its log), ``_cdf`` and
+    ``_inv``, so it draws by inverting its cdf, as every law here does.
     """
 
     def support(self) -> tuple[float, float]:
@@ -501,46 +503,47 @@ class UniformJointPredictive(_JointRecord):
         """The mass below l_n, a constant of the predictive: summed once."""
         return self._mass_beyond(self.l_n)
 
-    def pdf(self, x):
-        arr = _points(x)
-        out = np.full(arr.shape, self.flat_level)
-        far = ~((arr >= self.l_n) & (arr <= self.u_n))
-        out[far] = _tail_linear(self.n_eff + 1.0, self._sigma(arr[far]),
+    def _pdf(self, xa):
+        out = np.full(xa.shape, self.flat_level)
+        far = ~((xa >= self.l_n) & (xa <= self.u_n))
+        out[far] = _tail_linear(self.n_eff + 1.0, self._sigma(xa[far]),
                                 self.rho) / (self.c_n * self.w_n)
-        return _ret(x, out)
+        return out
 
-    def log_pdf(self, x):
-        dens = self.pdf(x)
+    def _log_pdf(self, xa):
         with np.errstate(divide="ignore"):
-            return np.log(dens) if np.ndim(dens) else float(np.log(dens))
+            return np.log(self._pdf(xa))
 
-    def cdf(self, x):
-        arr = _points(x)
-        out = self._below + (arr - self.l_n) * self.flat_level
-        low, high = arr < self.l_n, arr > self.u_n
+    def _cdf(self, xa):
+        out = self._below + (xa - self.l_n) * self.flat_level
+        low, high = xa < self.l_n, xa > self.u_n
         far = low | high
-        mass = self._mass_beyond(arr[far])
+        mass = self._mass_beyond(xa[far])
         out[far] = np.where(high[far], 1.0 - mass, mass)
-        return _ret(x, np.clip(out, 0.0, 1.0))
+        return np.clip(out, 0.0, 1.0)
 
     def _solve_beyond(self, mass):
         """s >= 1 with Q(N+1, s) / C(N) = mass, for 0 < mass below the mass
         beyond l_n.  log Q is convex and decreasing in y = log s, so Newton
-        steps from y = 0 rise monotonically to the root."""
+        steps from y = 0 rise monotonically to the root.  An entry leaves
+        the loop once its own step is within 1e-13, so it takes the same
+        steps alone as inside an array."""
         m, rho = self.n_eff + 1.0, self.rho
         goal = np.log(mass) + math.log(self.c_n)
         y = np.zeros(mass.shape)
+        todo = np.arange(mass.size)
         for _ in range(100):
-            r = rho * np.exp(-y)
+            yt = y[todo]
+            r = rho * np.exp(-yt)
             f3 = _series(3, m - 1.0, r, rho)
-            step = ((1.0 - m) * y + np.log(f3) - goal) * f3 / _series(2, m, r, rho)
-            y += step
-            if not np.any(np.abs(step) > 1e-13):
+            step = ((1.0 - m) * yt + np.log(f3) - goal[todo]) * f3 / _series(2, m, r, rho)
+            y[todo] = yt + step
+            todo = todo[np.abs(step) > 1e-13]
+            if not todo.size:
                 return np.exp(y)
         raise ConvergenceError("predictive quantile did not converge")
 
-    def quantile(self, p):
-        prob = _check_prob(p)
+    def _inv(self, prob):
         out = self.l_n + (prob - self._below) / self.flat_level
         side = np.minimum(prob, 1.0 - prob)
         tail = side < self._below
@@ -548,38 +551,7 @@ class UniformJointPredictive(_JointRecord):
             s = self._solve_beyond(side[tail])
             out[tail] = np.where(prob[tail] < 0.5, self.u_n - s * self.w_n,
                                  self.l_n + s * self.w_n)
-        return _ret(p, out)
-
-    def _sample_widths(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        """Exact draws of w/w_n by rejection against Pareto(N, 1).
-
-        The width marginal is dominated by the Pareto envelope with
-        acceptance ratio (v-1)/(v-rho) in [0, 1]; acceptance probability
-        is at worst about 1/(N+1), so the proposal batch is sized N+2
-        per needed draw.
-        """
-        out = np.empty(size)
-        filled = 0
-        while filled < size:
-            need = size - filled
-            batch = int(min(4_000_000, max(2048, need * (self.n_eff + 2.0))))
-            v = _uniforms(gen, batch) ** (-1.0 / self.n_eff)
-            keep = v[gen.random(batch) * (v - self.rho) < (v - 1.0)]
-            take = min(need, keep.size)
-            out[filled:filled + take] = keep[:take]
-            filled += take
         return out
-
-    def sample(self, rng, size=None):
-        gen = as_generator(rng)
-        count = 1 if size is None else int(np.prod(size))
-        w = self._sample_widths(gen, count) * self.w_n
-        low = self.u_n - w
-        l = low + gen.random(count) * (w - self.w_n)
-        x = l + gen.random(count) * w
-        if size is None:
-            return float(x[0])
-        return x.reshape(size)
 
 
 def posterior_w(prior: UniformPriorW, stats: SuffStats) -> WidthPosterior:

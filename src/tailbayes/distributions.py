@@ -8,7 +8,8 @@ array.  ``Distribution`` writes the public evaluators once: they accept
 scalars or numpy arrays, evaluate a scalar as a one-point array, so that
 it gets the same bits as the same point inside an array, and return a
 float for a scalar.  Densities are computed in log space and
-exponentiated at the boundary of the call.
+exponentiated at the boundary of the call, through ``_pdf``; a law whose
+density is primary overrides ``_pdf`` and takes its log for ``_log_pdf``.
 
 Support intervals are closed on the left and open on the right: the pdf at
 an exact finite left endpoint returns its limiting value, the pdf at the
@@ -90,19 +91,23 @@ def _require(cond: bool, msg: str) -> None:
 
 
 class Distribution:
-    """Evaluation surface shared by every law here and in ``predictives``.
+    """Evaluation surface shared by every law here, in ``predictives`` and
+    in ``conjugate_uniform``.
 
     A subclass supplies ``support`` and the array methods ``_log_pdf``,
-    ``_cdf`` and the inverse CDF ``_inv``; the public evaluators convert
-    their input once, through ``_points`` or ``_check_prob``, and give a
-    float back for a scalar.
+    ``_cdf`` and the inverse CDF ``_inv``, and ``_pdf`` where its density
+    is primary; the public evaluators convert their input once, through
+    ``_points`` or ``_check_prob``, and give a float back for a scalar.
     """
 
     def log_pdf(self, x):
         return _ret(x, self._log_pdf(_points(x)))
 
     def pdf(self, x):
-        return _ret(x, np.exp(self._log_pdf(_points(x))))
+        return _ret(x, self._pdf(_points(x)))
+
+    def _pdf(self, xa):
+        return np.exp(self._log_pdf(xa))
 
     def cdf(self, x):
         return _ret(x, self._cdf(_points(x)))

@@ -8,7 +8,7 @@ distributions module: ``log_pdf``/``pdf``, ``cdf``, ``quantile``,
 ``sample``, ``support``, written once in ``Distribution``.  A class here
 supplies ``support`` and the array methods ``_log_pdf``, ``_cdf`` and
 ``_inv``, so a scalar is evaluated as a one-point array; ``Trapezoid``
-supplies its density, which is primary there, as ``_density``.
+supplies its density, which is primary there, as ``_pdf``.
 
 Link classes are parameterized by the latent Pareto ``shape`` and
 ``scale`` and by the link's ``offset`` and ``anchor``:
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, _points, _require, _ret
+from .distributions import Distribution, _require
 
 __all__ = [
     "ParetoLink",
@@ -212,10 +212,7 @@ class Trapezoid(Distribution):
     def support(self) -> tuple[float, float]:
         return (self.lower, self.upper)
 
-    def pdf(self, x):
-        return _ret(x, self._density(_points(x)))
-
-    def _density(self, xa):
+    def _pdf(self, xa):
         xc = self._clip(xa)
         h = self.height
         up = h * (xc - self.lower) / (self.flat_lo - self.lower)
@@ -231,7 +228,7 @@ class Trapezoid(Distribution):
         return xa.clip(self.lower, self.upper)
 
     def _log_pdf(self, xa):
-        dens = self._density(xa)
+        dens = self._pdf(xa)
         return np.log(dens, out=np.full(dens.shape, -np.inf), where=dens > 0)
 
     def _cdf(self, xa):
