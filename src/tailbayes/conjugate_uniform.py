@@ -430,12 +430,14 @@ class UniformJointPosterior(_JointRecord):
         return self.w_n ** (-self.n_eff) * self.c_n
 
     def width_pdf(self, w):
-        """Density of the width marginal at w (zero at or below w_n)."""
+        """Density of the width marginal at w (zero at or below w_n and at
+        w = inf)."""
         v = _points(w) / self.w_n
-        # the power overflows only at v < 1, where the density reads 0
+        # the power overflows only at v < 1, and the body is 0 * inf / inf
+        # at v = inf: the density reads 0 at both
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             body = v ** (-(self.n_eff + 1.0)) * (v - 1.0) / (v - self.rho)
-        out = np.where(v > 1.0, body / (self.c_n * self.w_n), 0.0)
+        out = np.where((v > 1.0) & (v < math.inf), body / (self.c_n * self.w_n), 0.0)
         return _ret(w, out)
 
     def width_cdf(self, w):
@@ -445,7 +447,9 @@ class UniformJointPosterior(_JointRecord):
         cut at U = N*log(w/w_n), over C(N): (1/N) integral_0^U e**-u x /
         (1-rho + rho*x) du / C(N), x = 1 - e**(-u/N).  No complement is
         taken, and w/w_n - 1 is formed as (w - w_n)/w_n, exact near w_n,
-        so the mass keeps relative accuracy just above w_n.
+        so the mass keeps relative accuracy just above w_n.  The cut
+        integral stops at _U_END, a rounding short of C(N), so w = inf
+        reads 1 on its own.
         """
         arr = _points(w)
         gap = (arr - self.w_n) / self.w_n
@@ -453,7 +457,7 @@ class UniformJointPosterior(_JointRecord):
         wide = gap > 0.0
         top = self.n_eff * np.log1p(gap[wide])
         out[wide] = _series_below(self.n_eff, self.rho, top) / self.c_n
-        return _ret(w, np.clip(out, 0.0, 1.0))
+        return _ret(w, np.where(arr == math.inf, 1.0, np.clip(out, 0.0, 1.0)))
 
     def conditional_location(self, w: float) -> Uniform:
         """Posterior over the lower bound given the width w > w_n."""

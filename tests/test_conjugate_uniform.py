@@ -664,6 +664,15 @@ class TestJointPosterior:
         assert post.width_cdf(post.w_n) == 0.0
         assert post.width_cdf(1e9) == pytest.approx(1.0, abs=1e-9)
 
+    def test_width_marginal_at_infinity(self):
+        # no density and all the mass below w = inf, alone and in an array
+        post = self.post()
+        assert post.width_pdf(math.inf) == 0.0
+        assert post.width_cdf(math.inf) == 1.0
+        w = np.array([3.0, math.inf, 1e9])
+        assert post.width_pdf(w)[1] == 0.0
+        assert post.width_cdf(w)[1] == 1.0
+
     @pytest.mark.parametrize("n_eff", [5.0, 300.0, 1e5])
     @pytest.mark.parametrize("ratio", [0.2, 0.5, 0.9995, 1.0])
     def test_width_cdf_relative_accuracy_above_w_n(self, n_eff, ratio):
@@ -857,6 +866,16 @@ class TestJointPredictive:
         pred = self.pred()
         rng = np.random.default_rng(90210)
         draws = pred.sample(rng, KS_SAMPLES)
+        ks = sps.kstest(draws, lambda v: pred.cdf(v)).statistic
+        assert ks < KS_MAX
+
+    @pytest.mark.parametrize("prior,data", [
+        (UniformJointPrior(w0=1.0, n0=1e5 - 3.0, l0=0.0, u0=1.0), DATA),
+        (UniformJointPrior(w0=6.0, n0=0.0, l0=1.0, u0=7.0), [2.0, 5.0, 3.0]),
+    ], ids=["n_eff=1e5", "w0=w_n"])
+    def test_sampler_against_cdf_beyond_small_counts(self, prior, data):
+        pred = predictive_joint(posterior_joint(prior, suff_stats(data)))
+        draws = pred.sample(np.random.default_rng(90212), KS_SAMPLES)
         ks = sps.kstest(draws, lambda v: pred.cdf(v)).statistic
         assert ks < KS_MAX
 
