@@ -20,7 +20,7 @@ from . import conjugate_pareto as cpar
 from . import conjugate_power as cpow
 from . import conjugate_uniform as cuni
 from .errors import DomainError, UsageError, require_finite
-from .sufficient import SuffStats, merge, suff_stats
+from .sufficient import SuffStats, _batch, merge, suff_stats
 
 __all__ = [
     "SuffStats",
@@ -279,10 +279,9 @@ def support(fitted: FittedModel) -> SupportReport:
 def select_threshold(data, k: int):
     """Top-k threshold: theta is the k-th largest value; exceedances are
     every value strictly above theta, kept in input order (ties at theta
-    are excluded)."""
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 1:
-        raise DomainError("threshold selection expects a 1-d sequence")
+    are excluded).  data is a batch as suff_stats reads it: a 0-d input
+    is one value, and more than one dimension is DomainError."""
+    arr = _batch(data)
     n = arr.size
     if not 1 <= k <= n:
         raise DomainError(f"k must be in [1, {n}], got {k}")
@@ -307,13 +306,12 @@ def holdout_log_predictive(predictive, holdout) -> float:
     """Summed log predictive density of held-out points.
 
     -inf signals that some point falls outside the predictive support,
-    i.e. the model is rejected by the holdout.  A non-finite point raises
-    DomainError, as it does in suff_stats.  The sum is computed with
-    exact accumulation, so it is invariant under permutation.
+    i.e. the model is rejected by the holdout.  The holdout is a batch as
+    suff_stats reads it, and a non-finite point raises DomainError, as it
+    does in suff_stats.  The sum is computed with exact accumulation, so
+    it is invariant under permutation.
     """
-    arr = np.asarray(holdout, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
+    arr = _batch(holdout)
     if arr.size == 0:
         return 0.0
     if not np.isfinite(arr).all():

@@ -67,11 +67,19 @@ EMPTY = SuffStats(n=0, min=None, max=None, sum=0.0, sum_log=0.0)
 _SAFE_SUM = sys.float_info.max / 2
 
 
+def _batch(data) -> np.ndarray:
+    """data as a 1-d float array.  A 0-d input is one value; input of more
+    than one dimension is refused with DomainError rather than flattened."""
+    x = np.asarray(data, dtype=float)
+    if x.ndim > 1:
+        raise DomainError(f"a batch is a 1-d sequence of values, got "
+                          f"{x.ndim} dimensions")
+    return x.reshape(-1)
+
+
 def suff_stats(data) -> SuffStats:
     """Summarize a batch of real values in one pass."""
-    x = np.asarray(data, dtype=float)
-    if x.ndim != 1:
-        x = x.reshape(-1)
+    x = _batch(data)
     if x.size == 0:
         return EMPTY
     # NaN propagates through min and max, so both are finite exactly when

@@ -265,6 +265,15 @@ class TestHoldout:
         assert holdout_log_predictive(Uniform(0.0, 2.0), []) == 0.0
 
 
+@pytest.mark.parametrize("read", [
+    suff_stats,
+    lambda data: select_threshold(data, 1)[0],
+    lambda data: holdout_log_predictive(Uniform(0.0, 2.0), data),
+], ids=["suff_stats", "select_threshold", "holdout_log_predictive"])
+def test_a_scalar_batch_is_one_value(read):
+    assert read(0.5) == read([0.5])
+
+
 # One representative configuration per composable (family, case).
 SEQUENTIAL_CASES = [
     ("pareto", "location",

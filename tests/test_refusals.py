@@ -19,6 +19,7 @@ from tailbayes import conjugate_kernel as kernel
 from tailbayes import conjugate_pareto as cpar
 from tailbayes import conjugate_power as cpow
 from tailbayes import conjugate_uniform as cuni
+from tailbayes import pot_pipeline as pp
 from tailbayes.errors import DataError, DomainError, NoInformationError
 from tailbayes.sufficient import SuffStats, suff_stats
 
@@ -29,11 +30,33 @@ IMPROPER_GAMMA = kernel.GammaPosterior(0.0, 0.0)
 
 
 @pytest.mark.parametrize("data", [
-    [1.0, math.nan], [math.inf, 2.0], [-math.inf], np.full((2, 2), math.nan),
-], ids=["nan", "inf", "-inf", "2-d-nan"])
+    [1.0, math.nan], [math.inf, 2.0], [-math.inf],
+], ids=["nan", "inf", "-inf"])
 def test_suff_stats_refuses_non_finite_data(data):
     with pytest.raises(DomainError, match="data must be finite"):
         suff_stats(data)
+
+
+PARETO_FLOOR = pp.predict(pp.fit(
+    pp.ModelSpec("pareto", "location", noninformative=True, known={"alpha": 1.2}),
+    STATS))
+BATCH_READERS = {
+    "suff_stats": suff_stats,
+    "select_threshold": lambda data: pp.select_threshold(data, 1),
+    "holdout_log_predictive":
+        lambda data: pp.holdout_log_predictive(PARETO_FLOOR, data),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(BATCH_READERS))
+@pytest.mark.parametrize("data", [
+    [[2.5, 3.0], [4.0, 5.0]], np.full((2, 2), math.nan), np.ones((1, 1, 1)),
+], ids=["2-d", "2-d-nan", "3-d"])
+def test_batch_of_more_than_one_dimension_is_refused(data, reader):
+    # one rule for the three entry points: refused for its shape, before
+    # its values are read
+    with pytest.raises(DomainError, match="1-d sequence"):
+        BATCH_READERS[reader](data)
 
 
 @pytest.mark.parametrize("fields,match", [
