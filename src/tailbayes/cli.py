@@ -196,7 +196,7 @@ def _jsonl_numbers(text: str, field: str | None):
 
 
 def _ingest_fast(text: str, fmt: str, column: str | None,
-                 field: str | None) -> list[float] | None:
+                 field: str | None) -> np.ndarray | None:
     """The vectorised pass: Python's ``float`` on every value cell at once
     and one finiteness check; None where only the row parser can tell."""
     cells = _csv_cells(text, column) if fmt == "csv" else _jsonl_numbers(text, field)
@@ -206,12 +206,13 @@ def _ingest_fast(text: str, fmt: str, column: str | None,
         values = np.fromiter(map(float, cells), float, len(cells))
     except (ValueError, OverflowError):
         return None
-    return values.tolist() if np.isfinite(values).all() else None
+    return values if np.isfinite(values).all() else None
 
 
 def ingest(path: str, fmt: str | None = None, column: str | None = None,
-           field: str | None = None) -> list[float]:
-    """Read one numeric series from a CSV or JSONL file, order-preserving.
+           field: str | None = None) -> np.ndarray:
+    """Read one numeric series from a CSV or JSONL file, order-preserving,
+    as a float64 array.
 
     Plain files are read in one vectorised pass; any file that pass cannot
     vouch for goes to the row parser, which returns the same values or
@@ -221,11 +222,10 @@ def ingest(path: str, fmt: str | None = None, column: str | None = None,
     if fmt is None:
         fmt = "jsonl" if path.endswith((".jsonl", ".json")) else "csv"
     values = _ingest_fast(text, fmt, column, field)
-    if values is not None:
-        return values
-    if fmt == "csv":
-        return _ingest_csv(text, path, column)
-    return _ingest_jsonl(text, path, field)
+    if values is None:
+        values = (_ingest_csv(text, path, column) if fmt == "csv"
+                  else _ingest_jsonl(text, path, field))
+    return np.asarray(values, dtype=np.float64)
 
 
 def _json_number(value):
@@ -446,6 +446,10 @@ def _cmd_pot(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.seed is None:
         raise UsageError("simulate requires --seed; draws must be reproducible")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    if args.n < 0:
+        raise UsageError(f"--n must be >= 0, got {args.n}")
     cls = _SIMULATE_CLASSES[args.family]
     params = _parse_kv(args.params, "--params")
     try:

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from importlib import import_module
 from typing import Callable, Mapping
 
 import numpy as np
 
-from . import conjugate_exponential as cexp
-from . import conjugate_pareto as cpar
-from . import conjugate_power as cpow
-from . import conjugate_uniform as cuni
 from .errors import DomainError, UsageError, require_finite
 from .sufficient import SuffStats, _batch, merge, suff_stats
 
@@ -46,17 +44,23 @@ __all__ = [
 class Cell:
     """One (family, case) model, written down once.
 
-    update(prior, stats) and noninformative(stats, known) produce the
-    posterior (noninformative is None where no limit exists); known names
-    the parameters that a prior carries and a non-informative fit needs;
-    predictive(fitted) builds the posterior predictive; support(fitted)
-    reads the posterior bound and the effective count, and direction says
-    on which side of the data the bound sits.  The functions look the
-    conjugate modules up at call time, so wrappers installed on a module
-    are seen.
+    module names the cell's conjugate module in this package, and
+    prior_name its prior class there.  The module is imported by name the
+    first time the cell is used (by fit, predict, support or cell.prior)
+    and kept on the cell as ``conjugate``, its prior class as ``prior``;
+    importing the package loads no family.  update(mod, prior, stats) and
+    noninformative(mod, stats, known) produce the posterior
+    (noninformative is None where no limit exists); known names the
+    parameters that a prior carries and a non-informative fit needs;
+    predictive(mod, fitted) builds the posterior predictive;
+    support(fitted) reads the posterior bound and the effective count, and
+    direction says on which side of the data the bound sits.  The
+    functions read their names off the module at call time, so wrappers
+    installed on a module are seen.
     """
 
-    prior: type
+    module: str
+    prior_name: str
     known: tuple[str, ...]
     update: Callable
     noninformative: Callable | None
@@ -64,77 +68,85 @@ class Cell:
     support: Callable
     direction: str
 
+    @cached_property
+    def conjugate(self):
+        return import_module(f"{__package__}.{self.module}")
+
+    @cached_property
+    def prior(self) -> type:
+        return getattr(self.conjugate, self.prior_name)
+
 
 CELLS = {
     ("pareto", "location"): Cell(
-        cpar.ParetoPriorL, ("alpha",),
-        lambda p, s: cpar.posterior_l(p, s),
-        lambda s, k: cpar.noninformative("location", s, **k),
-        lambda f: cpar.predictive_l(f.posterior),
+        "conjugate_pareto", "ParetoPriorL", ("alpha",),
+        lambda m, p, s: m.posterior_l(p, s),
+        lambda m, s, k: m.noninformative("location", s, **k),
+        lambda m, f: m.predictive_l(f.posterior),
         lambda f: (f.posterior.l_n, f.posterior.n_eff), "lower"),
     ("pareto", "shape"): Cell(
-        cpar.ParetoPriorAlpha, ("l",),
-        lambda p, s: cpar.posterior_alpha(p, s),
-        lambda s, k: cpar.noninformative("shape", s, **k),
-        lambda f: cpar.predictive_alpha(f.posterior, f.known["l"]),
+        "conjugate_pareto", "ParetoPriorAlpha", ("l",),
+        lambda m, p, s: m.posterior_alpha(p, s),
+        lambda m, s, k: m.noninformative("shape", s, **k),
+        lambda m, f: m.predictive_alpha(f.posterior, f.known["l"]),
         lambda f: (f.known["l"], f.posterior.shape), "lower"),
     ("pareto", "joint"): Cell(
-        cpar.ParetoJointPrior, (),
-        lambda p, s: cpar.posterior_joint(p, s), None,
-        lambda f: cpar.predictive_joint(f.posterior),
+        "conjugate_pareto", "ParetoJointPrior", (),
+        lambda m, p, s: m.posterior_joint(p, s), None,
+        lambda m, f: m.predictive_joint(f.posterior),
         lambda f: (f.posterior.l_n, f.posterior.n_eff_bound), "lower"),
     ("shifted_exp", "location"): Cell(
-        cexp.ExpPriorL, ("alpha",),
-        lambda p, s: cexp.posterior_l(p, s),
-        lambda s, k: cexp.noninformative("location", s, **k),
-        lambda f: cexp.predictive_l(f.posterior),
+        "conjugate_exponential", "ExpPriorL", ("alpha",),
+        lambda m, p, s: m.posterior_l(p, s),
+        lambda m, s, k: m.noninformative("location", s, **k),
+        lambda m, f: m.predictive_l(f.posterior),
         lambda f: (f.posterior.l_n, f.posterior.n_eff), "lower"),
     ("shifted_exp", "shape"): Cell(
-        cexp.ExpPriorAlpha, ("l",),
-        lambda p, s: cexp.posterior_alpha(p, s),
-        lambda s, k: cexp.noninformative("shape", s, **k),
-        lambda f: cexp.predictive_alpha(f.posterior, f.known["l"]),
+        "conjugate_exponential", "ExpPriorAlpha", ("l",),
+        lambda m, p, s: m.posterior_alpha(p, s),
+        lambda m, s, k: m.noninformative("shape", s, **k),
+        lambda m, f: m.predictive_alpha(f.posterior, f.known["l"]),
         lambda f: (f.known["l"], f.posterior.shape), "lower"),
     ("shifted_exp", "joint"): Cell(
-        cexp.ExpJointPrior, (),
-        lambda p, s: cexp.posterior_joint(p, s), None,
-        lambda f: cexp.predictive_joint(f.posterior),
+        "conjugate_exponential", "ExpJointPrior", (),
+        lambda m, p, s: m.posterior_joint(p, s), None,
+        lambda m, f: m.predictive_joint(f.posterior),
         lambda f: (f.posterior.l_n, f.posterior.n_eff_onset), "lower"),
     ("power", "location"): Cell(
-        cpow.PowerPriorU, ("alpha",),
-        lambda p, s: cpow.posterior_u(p, s),
-        lambda s, k: cpow.noninformative("bound", s, **k),
-        lambda f: cpow.predictive_u(f.posterior),
+        "conjugate_power", "PowerPriorU", ("alpha",),
+        lambda m, p, s: m.posterior_u(p, s),
+        lambda m, s, k: m.noninformative("bound", s, **k),
+        lambda m, f: m.predictive_u(f.posterior),
         lambda f: (f.posterior.u_n, f.posterior.n_eff), "upper"),
     ("power", "shape"): Cell(
-        cpow.PowerPriorAlpha, ("u",),
-        lambda p, s: cpow.posterior_alpha(p, s),
-        lambda s, k: cpow.noninformative("shape", s, **k),
-        lambda f: cpow.predictive_alpha(f.posterior, f.known["u"]),
+        "conjugate_power", "PowerPriorAlpha", ("u",),
+        lambda m, p, s: m.posterior_alpha(p, s),
+        lambda m, s, k: m.noninformative("shape", s, **k),
+        lambda m, f: m.predictive_alpha(f.posterior, f.known["u"]),
         lambda f: (f.known["u"], f.posterior.shape), "upper"),
     ("power", "joint"): Cell(
-        cpow.PowerJointPrior, (),
-        lambda p, s: cpow.posterior_joint(p, s), None,
-        lambda f: cpow.predictive_joint(f.posterior),
+        "conjugate_power", "PowerJointPrior", (),
+        lambda m, p, s: m.posterior_joint(p, s), None,
+        lambda m, f: m.predictive_joint(f.posterior),
         lambda f: (f.posterior.u_n, f.posterior.n_eff_bound), "upper"),
     # the width bound is reported as a width, its predictive edge as an
     # absolute upper end
     ("uniform", "width"): Cell(
-        cuni.UniformPriorW, ("l",),
-        lambda p, s: cuni.posterior_w(p, s),
-        lambda s, k: cuni.noninformative("width", s, **k),
-        lambda f: cuni.predictive_w(f.posterior),
+        "conjugate_uniform", "UniformPriorW", ("l",),
+        lambda m, p, s: m.posterior_w(p, s),
+        lambda m, s, k: m.noninformative("width", s, **k),
+        lambda m, f: m.predictive_w(f.posterior),
         lambda f: (f.posterior.w_n, f.posterior.n_eff), "upper"),
     ("uniform", "lower"): Cell(
-        cuni.UniformPriorL, ("w",),
-        lambda p, s: cuni.posterior_location(p, s),
-        lambda s, k: cuni.noninformative("lower", s, **k),
-        lambda f: cuni.predictive_location(f.posterior),
+        "conjugate_uniform", "UniformPriorL", ("w",),
+        lambda m, p, s: m.posterior_location(p, s),
+        lambda m, s, k: m.noninformative("lower", s, **k),
+        lambda m, f: m.predictive_location(f.posterior),
         lambda f: (f.posterior.high, float(f.stats.n)), "lower"),
     ("uniform", "joint"): Cell(
-        cuni.UniformJointPrior, (),
-        lambda p, s: cuni.posterior_joint(p, s), None,
-        lambda f: cuni.predictive_joint(f.posterior),
+        "conjugate_uniform", "UniformJointPrior", (),
+        lambda m, p, s: m.posterior_joint(p, s), None,
+        lambda m, f: m.predictive_joint(f.posterior),
         lambda f: (f.posterior.u_n, f.posterior.n_eff), "upper"),
 }
 
@@ -206,7 +218,8 @@ class FittedModel:
         what the cache saves."""
         pred = self.__dict__.get("_predictive")
         if pred is None:
-            pred = CELLS[(self.spec.family, self.spec.case)].predictive(self)
+            cell = CELLS[(self.spec.family, self.spec.case)]
+            pred = cell.predictive(cell.conjugate, self)
             object.__setattr__(self, "_predictive", pred)   # a cache, not a field
         return pred
 
@@ -243,13 +256,13 @@ def fit(spec: ModelSpec, stats: SuffStats) -> FittedModel:
                              f"parameter(s) {missing}")
         known = {k: float(spec.known[k]) for k in cell.known}
         require_finite(known)
-        post = cell.noninformative(stats, known)
+        post = cell.noninformative(cell.conjugate, stats, known)
     else:
         if not isinstance(spec.prior, cell.prior):
             raise UsageError(f"{name} expects a {cell.prior.__name__} prior, "
                              f"got {type(spec.prior).__name__}")
         known = {k: getattr(spec.prior, k) for k in cell.known}
-        post = cell.update(spec.prior, stats)
+        post = cell.update(cell.conjugate, spec.prior, stats)
     return FittedModel(spec=spec, posterior=post, stats=stats, known=known)
 
 

@@ -64,12 +64,12 @@ class TestIngest:
     def test_csv_single_column_with_header(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("price\n1.5\n2.5\n\n3.5\n")
-        assert cli.ingest(str(path)) == [1.5, 2.5, 3.5]
+        assert cli.ingest(str(path)).tolist() == [1.5, 2.5, 3.5]
 
     def test_csv_named_column(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("id,price\n1,10.5\n2,20.5\n")
-        assert cli.ingest(str(path), column="price") == [10.5, 20.5]
+        assert cli.ingest(str(path), column="price").tolist() == [10.5, 20.5]
         with pytest.raises(DataError, match="not found"):
             cli.ingest(str(path), column="weight")
 
@@ -96,7 +96,7 @@ class TestIngest:
         path.write_text('1.5\n{"ms": 2.5}\n')
         with pytest.raises(UsageError, match="--field"):
             cli.ingest(str(path))
-        assert cli.ingest(str(path), field="ms") == [1.5, 2.5]
+        assert cli.ingest(str(path), field="ms").tolist() == [1.5, 2.5]
 
     def test_jsonl_rejects_booleans(self, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -110,7 +110,18 @@ class TestIngest:
 
     def test_order_preserved(self, tmp_path):
         path = write_lines(tmp_path / "d.csv", [5.0, 1.0, 3.0])
-        assert cli.ingest(path) == [5.0, 1.0, 3.0]
+        assert cli.ingest(path).tolist() == [5.0, 1.0, 3.0]
+
+    @pytest.mark.parametrize("text", ["price\n1.5\n2.5\n", '"1.5"\n"2.5"\n',
+                                      "price\n", ""],
+                             ids=["vectorised", "row-parser", "header-only",
+                                  "empty"])
+    def test_returns_a_float64_array(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        values = cli.ingest(str(path))
+        assert type(values) is np.ndarray
+        assert values.dtype == np.float64 and values.ndim == 1
 
 
 def _outcome(call):
@@ -918,6 +929,22 @@ class TestSimulate:
         assert rc == 2
         assert "needs exactly" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--n", "-1"), ("--seed", "-1")])
+    def test_negative_count_or_seed_usage_error(self, capsys, flag, value):
+        argv = {"--n": "5", "--seed": "1", flag: value}
+        rc = cli.main(["simulate", "--family", "uniform", "--params", "l=0,u=1",
+                       *(item for pair in argv.items() for item in pair)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be >= 0, got {value}\n"
+
+    def test_zero_draws_print_nothing(self, capsys):
+        rc = cli.main(["simulate", "--family", "uniform", "--params", "l=0,u=1",
+                       "--n", "0", "--seed", "1"])
+        assert rc == 0
+        assert capsys.readouterr() == ("", "")
+
     def test_console_script_smoke(self, tmp_path):
         result = run_python(
             ["-m", "tailbayes.cli", "simulate",
@@ -927,9 +954,93 @@ class TestSimulate:
         assert len(result.stdout.splitlines()) == 5
 
 
+def tailbayes_modules_added(action, setup=""):
+    """The tailbayes modules a fresh interpreter loads while it runs the
+    lines of action, after those of setup."""
+    code = "\n".join(["import json, sys", setup, "before = set(sys.modules)",
+                      action, "print(json.dumps(sorted(m for m in sys.modules",
+                      "    if m.startswith('tailbayes') and m not in before)))"])
+    result = run_python(["-c", code])
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+HELP = """from tailbayes import cli
+try:
+    cli.main(["--help"])
+except SystemExit:
+    pass"""
+
+
 class TestStartup:
     """Commands that need no special function never load scipy, and the
-    functions that do need it give the same values when they load it."""
+    functions that do need it give the same values when they load it.
+    Importing the package loads no family module; a command loads only
+    its own family's, plus the kernel for the three kernel families."""
+
+    @pytest.mark.parametrize("action", ["import tailbayes",
+                                        "import tailbayes.cli", HELP],
+                             ids=["package", "cli", "help"])
+    def test_start_loads_no_family(self, action):
+        loaded = tailbayes_modules_added(action)
+        assert "tailbayes.pot_pipeline" in loaded
+        assert [m for m in loaded if m.startswith("tailbayes.conjugate_")] == []
+
+    def test_fit_loads_its_family_and_the_kernel(self, tmp_path, laptop_csv):
+        action = (f"cli.main(['fit', '--family', 'pareto', '--case', 'shape', "
+                  f"'--prior', 'g0=3,n0=4', '--known', 'l=2', '--data', "
+                  f"{laptop_csv!r}, '--out', {str(tmp_path / 's.json')!r}])")
+        assert tailbayes_modules_added(action, "from tailbayes import cli") == [
+            "tailbayes.conjugate_kernel", "tailbayes.conjugate_pareto"]
+
+    def test_pot_loads_its_family_and_the_kernel(self, tmp_path, laptop_csv):
+        action = (f"cli.main(['pot', '--family', 'shifted_exp', '--case', "
+                  f"'shape', '--noninformative', '--known', 'l=0', '--k', '2', "
+                  f"'--view', 'excess', '--data', {laptop_csv!r}, "
+                  f"'--out', {str(tmp_path / 's.json')!r}])")
+        assert tailbayes_modules_added(action, "from tailbayes import cli") == [
+            "tailbayes.conjugate_exponential", "tailbayes.conjugate_kernel"]
+
+    def test_uniform_joint_fit_loads_only_its_family(self, tmp_path, laptop_csv):
+        action = (f"cli.main(['fit', '--family', 'uniform', '--case', 'joint', "
+                  f"'--prior', 'w0=40,n0=2,l0=80,u0=110', '--data', "
+                  f"{laptop_csv!r}, '--out', {str(tmp_path / 's.json')!r}])")
+        assert tailbayes_modules_added(action, "from tailbayes import cli") == [
+            "tailbayes.conjugate_uniform"]
+
+    def test_fit_calls_what_the_module_holds_now(self):
+        # a wrapper installed on a loaded module, as the benchmark's tracer
+        # installs one, is the function fit calls
+        code = """
+from tailbayes import conjugate_pareto, pot_pipeline as pp
+spec = pp.ModelSpec("pareto", "shape", noninformative=True, known={"l": 1.0})
+stats = pp.suff_stats([2.0, 3.0])
+pp.fit(spec, stats)  # loads conjugate_pareto through the cell
+calls = []
+def traced(prior, stats):
+    calls.append(stats)
+    return "traced"
+conjugate_pareto.posterior_alpha = traced
+spec = pp.ModelSpec("pareto", "shape",
+                    prior=conjugate_pareto.ParetoPriorAlpha(g0=3.0, n0=4.0, l=1.0))
+assert pp.fit(spec, stats).posterior == "traced"
+assert calls == [stats]
+"""
+        result = run_python(["-c", code])
+        assert result.returncode == 0, result.stderr
+
+    def test_each_prior_is_the_class_its_module_names(self):
+        code = """
+import importlib, sys
+from tailbayes.pot_pipeline import CELLS
+for key, cell in CELLS.items():
+    module = importlib.import_module("tailbayes." + cell.module)
+    assert cell.prior is getattr(module, cell.prior_name), key
+    assert cell.prior.__name__ == cell.prior_name, key
+    assert cell.conjugate is module, key
+"""
+        result = run_python(["-c", code])
+        assert result.returncode == 0, result.stderr
 
     def test_cli_loads_no_scipy(self, tmp_path, laptop_csv):
         code = f"""
