@@ -1,8 +1,8 @@
 """Command-line interface: data ingestion, posterior-state persistence,
 oracle reports, and plot-data emission.
 
-This is the only module that touches files.  Exit codes: 0 success, 2 flag
-or usage problems, 3 data/domain problems, 4 numeric-regime problems.
+This is the only module that touches files.  A command exits 0 on
+success, or with the exit code of the error it raised (see errors).
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ import numpy as np
 
 from . import __version__
 from . import distributions
-from .errors import (ConvergenceError, CoverageError, DataError, DomainError,
-                     InvalidRegimeError, NoInformationError,
-                     UnsupportedMappingError, UsageError)
+from .errors import DataError, TailBayesError, UsageError
 from .pot_pipeline import (CELLS, FAMILIES, FittedModel, ModelSpec, fit,
                            holdout_log_predictive, pot_fit, predict,
                            sequential_update, suff_stats, support)
@@ -43,7 +41,8 @@ _SIMULATE_CLASSES = {
 
 
 def _parse_kv(text: str | None, flag: str) -> dict:
-    """Parse 'a=1,b=2' into {'a': 1.0, 'b': 2.0}."""
+    """Parse 'a=1,b=2' into {'a': 1.0, 'b': 2.0}; a key given twice is a
+    usage error."""
     if text is None:
         return {}
     out = {}
@@ -55,6 +54,8 @@ def _parse_kv(text: str | None, flag: str) -> dict:
         key = key.strip()
         if not sep or not key:
             raise UsageError(f"{flag} expects key=value pairs, got {piece!r}")
+        if key in out:
+            raise UsageError(f"{flag} gives {key!r} more than once")
         try:
             out[key] = float(raw)
         except ValueError:
@@ -75,8 +76,8 @@ def _to_number(raw: str, path: str, line_no: int) -> float:
 
 
 def _read_text(path: str, what: str) -> str:
-    """The whole file as UTF-8 text; an absent, unreadable or undecodable
-    file is a data error that names it."""
+    """The whole file as UTF-8 text, less a leading byte-order mark; an
+    absent, unreadable or undecodable file is a data error that names it."""
     if not os.path.exists(path):
         raise DataError(f"{what} not found: {path}")
     try:
@@ -85,10 +86,11 @@ def _read_text(path: str, what: str) -> str:
     except OSError as exc:
         raise DataError(f"{what} {path} cannot be read: {exc.strerror}") from None
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        # lines end at \n, \r or \r\n, as the row parsers split them
-        head = raw[:exc.start].decode("utf-8")
+        # exc.start counts from the end of the mark, in exc.object; lines
+        # end at \n, \r or \r\n, as the row parsers split them
+        head = exc.object[:exc.start].decode("utf-8")
         line_no = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
         raise DataError(f"{path} line {line_no}: not UTF-8 text: {exc.reason}") from None
 
@@ -267,8 +269,8 @@ def load_document(path: str) -> FittedModel:
     posterior and top-level known blocks are a record of the fit that
     nothing reads.  The model_spec, prior and suff_stats blocks are read
     by keyword, so a missing or unknown key makes the state malformed, as
-    does a block that is not an object, or a value that ModelSpec
-    refuses."""
+    does a block that is not an object, a boolean where a number goes, or
+    a value that ModelSpec refuses."""
     text = _read_text(path, "state file")
     try:
         doc = json.loads(text)
@@ -293,6 +295,15 @@ def load_document(path: str) -> FittedModel:
         known = {k: float(v) for k, v in ms["known"].items()}
         spec = ModelSpec(**{**ms, "prior": prior, "known": known})
         stats = SuffStats(**doc["suff_stats"])
+        # Python reads JSON true and false as the numbers 1 and 0
+        numbers = {"schema_version": doc["schema_version"],
+                   "model_spec threshold": ms["threshold"],
+                   **{f"prior {k}": v for k, v in (ms["prior"] or {}).items()},
+                   **{f"known {k}": v for k, v in ms["known"].items()},
+                   **{f"suff_stats {k}": v for k, v in doc["suff_stats"].items()}}
+        for name, value in numbers.items():
+            if isinstance(value, bool):
+                raise ValueError(f"{name} is {json.dumps(value)}, not a number")
     except (KeyError, TypeError, ValueError, AttributeError, UsageError) as exc:
         raise DataError(f"state file {path} is malformed: {exc}") from None
     return fit(spec, stats)
@@ -322,11 +333,17 @@ def predictive_document(fitted: FittedModel) -> dict:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """text to stdout, or to the file out; a file that cannot be written
+    is a data error that names it."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise DataError(f"output file {out} cannot be written: "
+                        f"{exc.strerror}") from None
 
 
 def _build_prior(family: str, case: str, prior_kv: dict, known_kv: dict):
@@ -589,16 +606,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except UsageError as exc:
+    except TailBayesError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DataError, DomainError, NoInformationError, CoverageError,
-            UnsupportedMappingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (InvalidRegimeError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
     except BrokenPipeError:
         # downstream pager closed the pipe; suppress the shutdown flush too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

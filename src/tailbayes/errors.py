@@ -1,9 +1,11 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: usage problems exit 2, data and domain
-problems exit 3, numeric-regime problems (a closed form asked to operate
-where it breaks down) exit 4.  require_finite is the one finiteness check
-that every prior and every non-informative known value goes through.
+Each type carries the exit code that the CLI returns for it: 2 for a
+UsageError (a bad invocation), 4 for an InvalidRegimeError or a
+ConvergenceError (a closed form or a series asked to operate where it
+breaks down), and 3 for every other error (data and domain problems).
+require_finite is the one finiteness check that every prior and every
+non-informative known value goes through.
 """
 
 import math
@@ -25,9 +27,13 @@ __all__ = [
 class TailBayesError(Exception):
     """Base class for every error raised by this package."""
 
+    exit_code = 3
+
 
 class UsageError(TailBayesError):
     """Bad invocation: unknown flags, missing required arguments."""
+
+    exit_code = 2
 
 
 class DataError(TailBayesError):
@@ -45,9 +51,13 @@ class NoInformationError(TailBayesError):
 class InvalidRegimeError(TailBayesError):
     """Parameter regime where the closed forms stop being valid."""
 
+    exit_code = 4
+
 
 class ConvergenceError(TailBayesError):
     """A series or quadrature failed to reach its accuracy target."""
+
+    exit_code = 4
 
 
 class CoverageError(TailBayesError):

@@ -48,25 +48,27 @@ class Cell:
     prior_name its prior class there.  The module is imported by name the
     first time the cell is used (by fit, predict, support or cell.prior)
     and kept on the cell as ``conjugate``, its prior class as ``prior``;
-    importing the package loads no family.  update(mod, prior, stats) and
-    noninformative(mod, stats, known) produce the posterior
-    (noninformative is None where no limit exists); known names the
-    parameters that a prior carries and a non-informative fit needs;
-    predictive(mod, fitted) builds the posterior predictive;
-    support(fitted) reads the posterior bound and the effective count, and
-    direction says on which side of the data the bound sits.  The
-    functions read their names off the module at call time, so wrappers
-    installed on a module are seen.
+    importing the package loads no family.  The other names are read off
+    that module at call time, so wrappers installed on it are seen:
+    update(prior, stats) and predictive(posterior, *anchor values) name
+    its functions, and noninformative names the case that its
+    noninformative(case, stats, **known) takes (None where no limit
+    exists).  known names the parameters that a prior carries and a
+    non-informative fit needs, and anchor those of them that the
+    predictive takes after the posterior.  support(fitted) reads the
+    posterior bound and the effective count, and direction says on which
+    side of the data the bound sits.
     """
 
     module: str
     prior_name: str
     known: tuple[str, ...]
-    update: Callable
-    noninformative: Callable | None
-    predictive: Callable
+    update: str
+    noninformative: str | None
+    predictive: str
     support: Callable
     direction: str
+    anchor: tuple[str, ...] = ()
 
     @cached_property
     def conjugate(self):
@@ -79,75 +81,43 @@ class Cell:
 
 CELLS = {
     ("pareto", "location"): Cell(
-        "conjugate_pareto", "ParetoPriorL", ("alpha",),
-        lambda m, p, s: m.posterior_l(p, s),
-        lambda m, s, k: m.noninformative("location", s, **k),
-        lambda m, f: m.predictive_l(f.posterior),
-        lambda f: (f.posterior.l_n, f.posterior.n_eff), "lower"),
+        "conjugate_pareto", "ParetoPriorL", ("alpha",), "posterior_l", "location",
+        "predictive_l", lambda f: (f.posterior.l_n, f.posterior.n_eff), "lower"),
     ("pareto", "shape"): Cell(
-        "conjugate_pareto", "ParetoPriorAlpha", ("l",),
-        lambda m, p, s: m.posterior_alpha(p, s),
-        lambda m, s, k: m.noninformative("shape", s, **k),
-        lambda m, f: m.predictive_alpha(f.posterior, f.known["l"]),
-        lambda f: (f.known["l"], f.posterior.shape), "lower"),
+        "conjugate_pareto", "ParetoPriorAlpha", ("l",), "posterior_alpha", "shape",
+        "predictive_alpha", lambda f: (f.known["l"], f.posterior.shape), "lower", ("l",)),
     ("pareto", "joint"): Cell(
-        "conjugate_pareto", "ParetoJointPrior", (),
-        lambda m, p, s: m.posterior_joint(p, s), None,
-        lambda m, f: m.predictive_joint(f.posterior),
-        lambda f: (f.posterior.l_n, f.posterior.n_eff_bound), "lower"),
+        "conjugate_pareto", "ParetoJointPrior", (), "posterior_joint", None,
+        "predictive_joint", lambda f: (f.posterior.l_n, f.posterior.n_eff_bound), "lower"),
     ("shifted_exp", "location"): Cell(
-        "conjugate_exponential", "ExpPriorL", ("alpha",),
-        lambda m, p, s: m.posterior_l(p, s),
-        lambda m, s, k: m.noninformative("location", s, **k),
-        lambda m, f: m.predictive_l(f.posterior),
-        lambda f: (f.posterior.l_n, f.posterior.n_eff), "lower"),
+        "conjugate_exponential", "ExpPriorL", ("alpha",), "posterior_l", "location",
+        "predictive_l", lambda f: (f.posterior.l_n, f.posterior.n_eff), "lower"),
     ("shifted_exp", "shape"): Cell(
-        "conjugate_exponential", "ExpPriorAlpha", ("l",),
-        lambda m, p, s: m.posterior_alpha(p, s),
-        lambda m, s, k: m.noninformative("shape", s, **k),
-        lambda m, f: m.predictive_alpha(f.posterior, f.known["l"]),
-        lambda f: (f.known["l"], f.posterior.shape), "lower"),
+        "conjugate_exponential", "ExpPriorAlpha", ("l",), "posterior_alpha", "shape",
+        "predictive_alpha", lambda f: (f.known["l"], f.posterior.shape), "lower", ("l",)),
     ("shifted_exp", "joint"): Cell(
-        "conjugate_exponential", "ExpJointPrior", (),
-        lambda m, p, s: m.posterior_joint(p, s), None,
-        lambda m, f: m.predictive_joint(f.posterior),
-        lambda f: (f.posterior.l_n, f.posterior.n_eff_onset), "lower"),
+        "conjugate_exponential", "ExpJointPrior", (), "posterior_joint", None,
+        "predictive_joint", lambda f: (f.posterior.l_n, f.posterior.n_eff_onset), "lower"),
     ("power", "location"): Cell(
-        "conjugate_power", "PowerPriorU", ("alpha",),
-        lambda m, p, s: m.posterior_u(p, s),
-        lambda m, s, k: m.noninformative("bound", s, **k),
-        lambda m, f: m.predictive_u(f.posterior),
-        lambda f: (f.posterior.u_n, f.posterior.n_eff), "upper"),
+        "conjugate_power", "PowerPriorU", ("alpha",), "posterior_u", "bound",
+        "predictive_u", lambda f: (f.posterior.u_n, f.posterior.n_eff), "upper"),
     ("power", "shape"): Cell(
-        "conjugate_power", "PowerPriorAlpha", ("u",),
-        lambda m, p, s: m.posterior_alpha(p, s),
-        lambda m, s, k: m.noninformative("shape", s, **k),
-        lambda m, f: m.predictive_alpha(f.posterior, f.known["u"]),
-        lambda f: (f.known["u"], f.posterior.shape), "upper"),
+        "conjugate_power", "PowerPriorAlpha", ("u",), "posterior_alpha", "shape",
+        "predictive_alpha", lambda f: (f.known["u"], f.posterior.shape), "upper", ("u",)),
     ("power", "joint"): Cell(
-        "conjugate_power", "PowerJointPrior", (),
-        lambda m, p, s: m.posterior_joint(p, s), None,
-        lambda m, f: m.predictive_joint(f.posterior),
-        lambda f: (f.posterior.u_n, f.posterior.n_eff_bound), "upper"),
+        "conjugate_power", "PowerJointPrior", (), "posterior_joint", None,
+        "predictive_joint", lambda f: (f.posterior.u_n, f.posterior.n_eff_bound), "upper"),
     # the width bound is reported as a width, its predictive edge as an
     # absolute upper end
     ("uniform", "width"): Cell(
-        "conjugate_uniform", "UniformPriorW", ("l",),
-        lambda m, p, s: m.posterior_w(p, s),
-        lambda m, s, k: m.noninformative("width", s, **k),
-        lambda m, f: m.predictive_w(f.posterior),
-        lambda f: (f.posterior.w_n, f.posterior.n_eff), "upper"),
+        "conjugate_uniform", "UniformPriorW", ("l",), "posterior_w", "width",
+        "predictive_w", lambda f: (f.posterior.w_n, f.posterior.n_eff), "upper"),
     ("uniform", "lower"): Cell(
-        "conjugate_uniform", "UniformPriorL", ("w",),
-        lambda m, p, s: m.posterior_location(p, s),
-        lambda m, s, k: m.noninformative("lower", s, **k),
-        lambda m, f: m.predictive_location(f.posterior),
-        lambda f: (f.posterior.high, float(f.stats.n)), "lower"),
+        "conjugate_uniform", "UniformPriorL", ("w",), "posterior_location", "lower",
+        "predictive_location", lambda f: (f.posterior.high, float(f.stats.n)), "lower"),
     ("uniform", "joint"): Cell(
-        "conjugate_uniform", "UniformJointPrior", (),
-        lambda m, p, s: m.posterior_joint(p, s), None,
-        lambda m, f: m.predictive_joint(f.posterior),
-        lambda f: (f.posterior.u_n, f.posterior.n_eff), "upper"),
+        "conjugate_uniform", "UniformJointPrior", (), "posterior_joint", None,
+        "predictive_joint", lambda f: (f.posterior.u_n, f.posterior.n_eff), "upper"),
 }
 
 FAMILIES = {fam: tuple(case for f, case in CELLS if f == fam) for fam, _ in CELLS}
@@ -219,7 +189,8 @@ class FittedModel:
         pred = self.__dict__.get("_predictive")
         if pred is None:
             cell = CELLS[(self.spec.family, self.spec.case)]
-            pred = cell.predictive(cell.conjugate, self)
+            pred = getattr(cell.conjugate, cell.predictive)(
+                self.posterior, *[self.known[k] for k in cell.anchor])
             object.__setattr__(self, "_predictive", pred)   # a cache, not a field
         return pred
 
@@ -256,13 +227,13 @@ def fit(spec: ModelSpec, stats: SuffStats) -> FittedModel:
                              f"parameter(s) {missing}")
         known = {k: float(spec.known[k]) for k in cell.known}
         require_finite(known)
-        post = cell.noninformative(cell.conjugate, stats, known)
+        post = cell.conjugate.noninformative(cell.noninformative, stats, **known)
     else:
         if not isinstance(spec.prior, cell.prior):
             raise UsageError(f"{name} expects a {cell.prior.__name__} prior, "
                              f"got {type(spec.prior).__name__}")
         known = {k: getattr(spec.prior, k) for k in cell.known}
-        post = cell.update(cell.conjugate, spec.prior, stats)
+        post = getattr(cell.conjugate, cell.update)(spec.prior, stats)
     return FittedModel(spec=spec, posterior=post, stats=stats, known=known)
 
 

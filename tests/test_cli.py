@@ -5,6 +5,7 @@ stderr can be captured exactly; one smoke test goes through the installed
 console script.
 """
 
+import codecs
 import dataclasses
 import json
 import math
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 import tailbayes
-from tailbayes import cli
+from tailbayes import cli, errors
 from tailbayes import conjugate_exponential as cexp
 from tailbayes import conjugate_pareto as cpar
 from tailbayes import conjugate_power as cpow
@@ -581,6 +582,35 @@ class TestStateIsRefit:
             assert err.startswith(f"error: state file {state} is malformed: ")
             assert named in err
 
+    @pytest.mark.parametrize("name,path,value", [
+        ("pareto-location-prior", ("model_spec", "prior", "n0"), True),
+        ("pareto-location-noninformative", ("model_spec", "known", "alpha"), True),
+        ("pareto-location-prior", ("suff_stats", "min"), True),
+        ("pareto-location-prior", ("suff_stats", "sum"), True),
+        ("pareto-location-prior", ("suff_stats", "sum_log"), False),
+        ("pareto-location-prior", ("model_spec", "threshold"), False),
+        ("pareto-location-prior", ("schema_version",), True),
+    ], ids=["prior", "known", "min", "sum", "sum_log", "threshold",
+            "schema_version"])
+    def test_boolean_for_a_number_exits_3(self, tmp_path, capsys, name, path,
+                                          value):
+        # Python reads JSON true and false as 1 and 0; a state is refused
+        # as JSONL ingest refuses them
+        doc = json.loads((STATES / f"{name}.json").read_text())
+        *blocks, key = path
+        target = doc
+        for block in blocks:
+            target = target[block]
+        target[key] = value
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(doc))
+        where = " ".join(path[-2:])
+        for command in ("predict", "support"):
+            assert cli.main([command, "--state", str(state)]) == 3
+            assert capsys.readouterr() == ("", (
+                f"error: state file {state} is malformed: {where} is "
+                f"{json.dumps(value)}, not a number\n"))
+
     def test_min_above_max_exits_3(self, tmp_path, capsys):
         state, _ = noninformative_state(tmp_path, "uniform", "width", "l=1")
         doc = json.loads(state.read_text())
@@ -603,6 +633,62 @@ class TestStateIsRefit:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "name", [n for n in errors.__all__ if n != "require_finite"])
+    def test_every_error_type_gives_its_code(self, monkeypatch, capsys, name):
+        expected = {"UsageError": 2, "InvalidRegimeError": 4,
+                    "ConvergenceError": 4}.get(name, 3)
+
+        def handler(args):
+            raise getattr(errors, name)("raised by the command")
+
+        monkeypatch.setattr(cli, "_cmd_support", handler)
+        assert cli.main(["support", "--state", "state.json"]) == expected
+        assert capsys.readouterr() == ("", "error: raised by the command\n")
+
+    @pytest.mark.parametrize("command", ["fit", "pot", "predict", "simulate",
+                                         "verify", "plotdata"])
+    @pytest.mark.parametrize("where,reason", [
+        ("missing-directory", "No such file or directory"),
+        ("directory", "Is a directory")], ids=["missing-directory", "directory"])
+    def test_unwritable_out(self, tmp_path, laptop_csv, laptop_state, capsys,
+                            command, where, reason):
+        argv = {
+            "fit": ["fit", "--family", "pareto", "--case", "location",
+                    "--prior", "l0=100,n0=1,alpha=1.2", "--data", laptop_csv],
+            "pot": ["pot", "--family", "pareto", "--case", "location",
+                    "--noninformative", "--known", "alpha=1.2", "--k", "3",
+                    "--data", laptop_csv],
+            "predict": ["predict", "--state", str(laptop_state)],
+            "simulate": ["simulate", "--family", "uniform", "--params",
+                         "l=0,u=1", "--n", "3", "--seed", "1"],
+            "verify": ["verify", "--cells", "2000"],
+            "plotdata": ["plotdata", "--figure", "gp"],
+        }[command]
+        out = tmp_path / "no" / "s.json" if where == "missing-directory" else tmp_path
+        capsys.readouterr()
+        assert cli.main([*argv, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: output file {out} cannot be written: {reason}\n")
+        assert "wrote" not in captured.err
+
+    @pytest.mark.parametrize("flag,argv", [
+        ("--prior", ["fit", "--family", "pareto", "--case", "location",
+                     "--prior", "l0=100,n0=1,alpha=1.2,n0=2"]),
+        ("--known", ["fit", "--family", "pareto", "--case", "location",
+                     "--noninformative", "--known", "alpha=1.2, n0=1,n0=1"]),
+        ("--params", ["simulate", "--family", "uniform", "--seed", "1",
+                      "--params", "l=0,n0=1,u=1,n0=0.5"]),
+    ], ids=["prior", "known", "params"])
+    def test_repeated_key(self, laptop_csv, capsys, flag, argv):
+        if argv[0] == "fit":
+            argv = [*argv, "--data", laptop_csv]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {flag} gives 'n0' more than once\n")
+
     def test_missing_data_file(self, capsys):
         rc = cli.main(["fit", "--family", "pareto", "--case", "location",
                        "--prior", "l0=100,n0=1,alpha=1.2",
@@ -796,6 +882,42 @@ class TestExitCodes:
                        "--holdout", holdout])
         assert rc == 0
         assert "holdout log predictive:" in capsys.readouterr().out
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark is not data: a file that starts
+    with one reads as its twin without it."""
+
+    @pytest.mark.parametrize("name,text,flags", [
+        ("d.csv", "1.5\n2\n3\n", {}),
+        ("d.csv", "x,y\n1.5,0\n2,0\n3,0\n", {"column": "x"}),
+        ("d.jsonl", "1.5\n2\n3\n", {}),
+        ("d.jsonl", '{"x": 1.5}\n{"x": 2}\n{"x": 3}\n', {"field": "x"}),
+    ], ids=["csv", "csv-column", "jsonl", "jsonl-field"])
+    def test_data_file(self, tmp_path, name, text, flags):
+        plain, marked = tmp_path / f"plain-{name}", tmp_path / f"marked-{name}"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+        values = cli.ingest(str(marked), **flags).tolist()
+        assert values == cli.ingest(str(plain), **flags).tolist() == [1.5, 2.0, 3.0]
+
+    def test_state_file(self, tmp_path, capsys):
+        plain = STATES / "pareto-location-prior.json"
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        for command in ("predict", "support"):
+            assert cli.main([command, "--state", str(plain)]) == 0
+            expected = capsys.readouterr()
+            assert cli.main([command, "--state", str(marked)]) == 0
+            assert capsys.readouterr() == expected
+
+    def test_non_utf8_line_counts_from_the_first_byte(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(codecs.BOM_UTF8 + b"1.5\n2.5\ncaf\xe9\n")
+        rc = cli.main(["fit", "--family", "pareto", "--case", "location",
+                       "--prior", "l0=100,n0=1,alpha=1.2", "--data", str(path)])
+        assert rc == 3
+        assert f"{path} line 3: not UTF-8" in capsys.readouterr().err
 
 
 class TestReports:

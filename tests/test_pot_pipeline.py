@@ -487,3 +487,22 @@ class TestPredictDispatch:
         assert lo < hi
         mid = 0.5 * (max(lo, min(data)) + min(hi, max(data)))
         assert pred.pdf(mid) > 0.0
+
+
+class TestCells:
+    """A cell names its module's functions and its prior's fields; fit and
+    predict read them by name, so a misspelt name fails only when its cell
+    is used.  This reads every cell's names now."""
+
+    @pytest.mark.parametrize("key", list(CELLS), ids="-".join)
+    def test_names_resolve_on_the_module(self, key):
+        cell = CELLS[key]
+        names = [cell.update, cell.predictive]
+        if cell.noninformative is not None:
+            assert isinstance(cell.noninformative, str)
+            names.append("noninformative")
+        for name in names:
+            assert callable(getattr(cell.conjugate, name)), name
+        assert set(cell.anchor) <= set(cell.known)
+        fields = {f.name for f in dataclasses.fields(cell.prior)}
+        assert set(cell.known) <= fields
