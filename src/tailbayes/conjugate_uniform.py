@@ -24,12 +24,13 @@ r = rho/s,
 Nothing cancels, so no digits are lost at any count or ratio.  F_p is
 summed through its Beta-integral form with a fixed Gauss-Legendre rule on
 segments that double away from the integrand's nearest pole.  The node
-sets are memoised, and for a small array one numpy call takes a tile of
-many nodes by all points, adding in the order of a node-by-node loop
-(which larger arrays take, in place), so a point gets the same bits
-alone as inside an array, and the predictive cdf sums both of its
-tails in one call.  The width cdf is the same positive integrand as
-C(N), cut short, so it too takes no complement.
+sets are memoised, and for an array of up to 1,024 points one numpy call
+takes a tile of many nodes by all points, adding in the order of a
+node-by-node loop (which larger arrays take, in place: near 1,024 points
+the two cost the same), so a point gets the same bits alone as inside an
+array, and the predictive cdf sums both of its tails in one call.  The
+width cdf is the same positive integrand as C(N), cut short, so it too
+takes no complement.
 
 Working in units of w_n also keeps C(N), of order w_n**-N in raw units,
 inside float range; every quantity that matters (densities, masses,
@@ -94,20 +95,19 @@ def _gauss_legendre(n: int):
 # 2e-22 bounds the integrand's mass beyond the last segment.
 _GL_X, _GL_W = _gauss_legendre(16)
 _U_END = 50.0
-# _series takes its nodes in (nodes x points) tiles of about _TILE
-# elements for up to _TILE_POINTS points, where a tile holds 256 nodes or
-# more and replaces hundreds of small calls.  Larger arrays take one
-# in-place pass per node.  A tile is faster there too (0.19 against 0.68
-# ms at 248 points, 160 nodes), but then most of its time is vector
-# arithmetic, which a busy shared host slows far less than it slows
-# interpreted code and the benchmark's probe: scaled by that probe, the
-# uniform_joint values_per_s spread twice as wide as its bound allows.
-# _series_below takes its 16-point rule as (16 x points) tiles of _TILE
-# elements, _TILE // 16 points each, at every size: 16 nodes are too few
-# for one pass per node to beat a tile, and a tile keeps its memory
-# bounded by the input as the per-node passes do.
+# Both series evaluators take their nodes in (nodes x points) tiles of at
+# most _TILE elements: at least 16 nodes (one segment) and at most
+# _TILE // 16 = 1,024 points per tile, so one numpy call replaces many
+# small ones and the memory stays bounded by the input.  _series takes
+# larger arrays in one in-place pass per node instead, because that is
+# where the two cross: over p = 2, 3, a = 6 to 3001 and r_max = 0.5,
+# 0.9995 (best of 7, one core of a 2-core Xeon, numpy 2.4), the median of
+# tile time over per-node time reads 0.37 at 248 points, 0.66-0.69 at 500
+# and 0.94-1.00 at 1,024, and 1,024-point chunks of tiles lose beyond it:
+# 1.1-1.3 at 1,500 points, 1.2-1.4 at 2,000 and 1.8-2.0 at 50,000.
+# _series_below tiles at every size: its 16 nodes are too few for one
+# pass per node to beat a tile.
 _TILE = 16384
-_TILE_POINTS = 64
 
 
 def _edges(a: float, r_max: float) -> np.ndarray:
@@ -153,8 +153,8 @@ def _series(p: int, a: float, r, r_max: float):
     """F_p(a, r) = sum_k r**k / ((a+k)(a+k+1)...(a+k+p-1)) over an array r
     of ratios in [0, r_max]; every term positive, so nothing cancels.
 
-    Up to _TILE_POINTS points, each numpy call takes a tile of K nodes by
-    all n points, K*n about _TILE, so a small array costs a few calls
+    Up to _TILE // 16 = 1,024 points, each numpy call takes a tile of K
+    nodes by all n points, K*n about _TILE, so an array costs a few calls
     rather than four per node; beyond it one node per pass updates the
     total in place.  Either way the memory is bounded by the size of r.
     The running total is folded into each tile's first row and the rows
@@ -167,7 +167,7 @@ def _series(p: int, a: float, r, r_max: float):
     flat = r.ravel()
     gap = 1.0 - flat
     total = np.zeros(flat.size)
-    if flat.size > _TILE_POINTS:
+    if flat.size > _TILE // _GL_X.size:
         term = np.empty(flat.size)
         for xk, ck in zip(x.tolist(), c.tolist()):
             np.multiply(flat, xk, out=term)

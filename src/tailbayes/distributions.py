@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedMappingError
+from .errors import DomainError, UnsupportedMappingError, require_finite
 
 __all__ = [
     "XI_ZERO_TOL",
@@ -133,6 +133,7 @@ class GPParams(Distribution):
     xi: float
 
     def __post_init__(self):
+        require_finite(vars(self))
         _require(self.sigma > 0, "sigma must be positive")
 
     def support(self) -> tuple[float, float]:
@@ -185,6 +186,7 @@ class Pareto(Distribution):
     l: float
 
     def __post_init__(self):
+        require_finite(vars(self))
         _require(self.alpha > 0, "alpha must be positive")
         _require(self.l > 0, "lower bound l must be positive")
 
@@ -218,6 +220,7 @@ class Lomax(Distribution):
     l: float
 
     def __post_init__(self):
+        require_finite(vars(self))
         _require(self.alpha > 0, "alpha must be positive")
         _require(self.l > 0, "scale l must be positive")
 
@@ -247,6 +250,7 @@ class ShiftedExp(Distribution):
     l: float
 
     def __post_init__(self):
+        require_finite(vars(self))
         _require(self.alpha > 0, "alpha must be positive")
 
     def support(self) -> tuple[float, float]:
@@ -271,6 +275,7 @@ class Power(Distribution):
     b: float
 
     def __post_init__(self):
+        require_finite(vars(self))
         _require(self.a > 0, "upper bound a must be positive")
         _require(self.b > 0, "exponent b must be positive")
 
@@ -306,6 +311,7 @@ class LogPower(Distribution):
     b: float
 
     def __post_init__(self):
+        require_finite(vars(self))
         _require(self.b > 0, "rate b must be positive")
 
     def support(self) -> tuple[float, float]:
@@ -331,6 +337,7 @@ class Uniform(Distribution):
     u: float
 
     def __post_init__(self):
+        require_finite(vars(self))
         _require(self.u > self.l, "need l < u")
 
     def support(self) -> tuple[float, float]:
@@ -359,6 +366,7 @@ class Gamma(Distribution):
     rate: float
 
     def __post_init__(self):
+        require_finite(vars(self))
         _require(self.shape > 0, "shape must be positive")
         _require(self.rate > 0, "rate must be positive")
 

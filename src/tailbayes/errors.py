@@ -4,8 +4,8 @@ Each type carries the exit code that the CLI returns for it: 2 for a
 UsageError (a bad invocation), 4 for an InvalidRegimeError or a
 ConvergenceError (a closed form or a series asked to operate where it
 breaks down), and 3 for every other error (data and domain problems).
-require_finite is the one finiteness check that every prior and every
-non-informative known value goes through.
+require_finite is the one finiteness check that every prior, every
+non-informative known value and every law of distributions goes through.
 """
 
 import math

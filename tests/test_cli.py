@@ -1061,6 +1061,19 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err == f"error: {flag} must be >= 0, got {value}\n"
 
+    @pytest.mark.parametrize("family, params", [
+        ("pareto", "alpha=inf,l=1"), ("lomax", "alpha=2,l=inf"),
+        ("shifted_exp", "alpha=1,l=-inf"), ("power", "a=nan,b=2"),
+        ("log_power", "a=inf,b=1"), ("uniform", "l=0,u=inf"),
+        ("gamma", "shape=inf,rate=1"), ("gp", "theta=0,sigma=inf,xi=0.5")])
+    def test_non_finite_params_exit_3(self, capsys, family, params):
+        rc = cli.main(["simulate", "--family", family, "--params", params,
+                       "--n", "2", "--seed", "1"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
     def test_zero_draws_print_nothing(self, capsys):
         rc = cli.main(["simulate", "--family", "uniform", "--params", "l=0,u=1",
                        "--n", "0", "--seed", "1"])

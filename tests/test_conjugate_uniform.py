@@ -29,7 +29,6 @@ from tailbayes.conjugate_uniform import (
     _GL_W,
     _GL_X,
     _TILE,
-    _TILE_POINTS,
     _U_END,
     _edges,
     _nodes,
@@ -478,13 +477,14 @@ class TestPositiveSeries:
             assert isinstance(call(args[0]), float)
         assert pred.cdf(xs.reshape(41, 1)).shape == (41, 1)
         assert post.width_cdf(ws.reshape(23, 1)).shape == (23, 1)
-        # past _TILE_POINTS, both tails in one array, l_n and u_n exactly
-        grid = np.sort(np.concatenate([np.linspace(1.0, 9.0, 299),
+        # past the tiles' _TILE // 16 points, both tails in one array,
+        # l_n and u_n exactly
+        tile = _TILE // _GL_X.size
+        grid = np.sort(np.concatenate([np.linspace(-1.0, 11.0, 3299),
                                        [post.l_n, post.u_n]]))
-        assert grid.size == 301 > _TILE_POINTS
         assert {post.l_n, post.u_n} <= set(grid.tolist())
-        assert (grid < post.l_n).sum() > _TILE_POINTS
-        assert (grid > post.u_n).sum() > _TILE_POINTS
+        assert (grid < post.l_n).sum() > tile
+        assert (grid > post.u_n).sum() > tile
         widths = np.linspace(post.w_n, 3.0 * post.w_n, 301)
         for call, args in ((pred.pdf, grid), (pred.cdf, grid),
                            (post.width_cdf, widths)):
@@ -554,7 +554,8 @@ class TestSeriesEvaluator:
     """_series takes many nodes per numpy call; its values must stay those
     of the node-by-node loop, whatever the number of points."""
 
-    SHAPES = [(), (0,), (1,), (2,), (3,), (20,), (500,), (9000,), (41, 1)]
+    SHAPES = [(), (0,), (1,), (2,), (3,), (20,), (500,), (1023,), (1024,),
+              (1025,), (9000,), (41, 1)]
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("a", [1.01, 5.0, 3001.0, 1e7])

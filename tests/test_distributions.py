@@ -1,5 +1,6 @@
 """Distribution surface: normalization, inverses, samplers, GP mappings."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -158,6 +159,18 @@ def test_invalid_parameters_rejected_at_construction():
         Uniform(l=2.0, u=2.0)
     with pytest.raises(DomainError):
         Gamma(shape=1.0, rate=0.0)
+
+
+@pytest.mark.parametrize("name", ["gp_zero", "pareto", "lomax", "shifted_exp",
+                                  "power", "log_power", "uniform", "gamma"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_parameters_rejected_at_construction(name, bad):
+    # every parameter, including those no positivity check reads (a GP's
+    # theta and xi, a shifted exponential's onset, a log-power's bound)
+    law = VARIANTS[name]
+    for field in dataclasses.fields(law):
+        with pytest.raises(DomainError, match=f"{field.name} must be finite"):
+            dataclasses.replace(law, **{field.name: bad})
 
 
 # Spot values for the pdf/cdf/quantile operations.
