@@ -188,7 +188,6 @@ def noninformative(case: str, stats: SuffStats, *, alpha: float | None = None,
 
 
 _AXIS = kernel.Axis(
-    t=lambda b: b, sum_t=lambda stats: stats.sum, lower=True, positive=False,
     link=ParetoShiftLink, location=OnsetPosterior, joint=ExpJointPosterior,
     bound_case="location", bound_word="onset l",
     regime="pooled mean mu_n is non-positive, so the rate posterior is "

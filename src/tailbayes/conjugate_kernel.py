@@ -1,21 +1,25 @@
 """The one conjugate kernel behind the Pareto, shifted-exponential and power families.
 
 The three families are one shifted-exponential model seen through an axis
-t: t(x) = log x (Pareto), x (shifted exponential) or -log x (power).  An
-Axis record says how a family maps onto t; the bound and exponent updates,
-their non-informative limits and the exponent link predictive are written
-here once.  Each sum keeps the grouping of the family formulas, so every
-family gets bit-for-bit the numbers of its own closed forms.
+t: t(x) = log x (Pareto), x (shifted exponential) or -log x (power).  Each
+map onto t is written once, as the ``predictives.AxisMap`` record of the
+family's link class (``LOG_AXIS``, ``SHIFT_AXIS``, ``NEG_LOG_AXIS``),
+which the link predictive and these updates both read; an Axis adds only
+the family's classes, bound words and messages.  The bound and exponent
+updates, their non-informative limits and the exponent link predictive
+are written here once.  Each sum keeps the grouping of the family
+formulas, so every family gets bit-for-bit the numbers of its own closed
+forms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
 
 from .errors import DomainError, InvalidRegimeError, NoInformationError
 from .distributions import Gamma
+from .predictives import AxisMap
 from .sufficient import SuffStats
 
 __all__ = ["Axis", "GammaPosterior", "extrapolation_factor", "bound", "exponent",
@@ -61,19 +65,14 @@ class GammaPosterior:
 class Axis:
     """How one family sees the kernel.
 
-    t(b) is a bound on the axis and sum_t(stats) is sum t(x_i); lower says
-    the data minimum pins the bound (else the maximum); positive says the
-    data must be strictly positive.  link, location and joint are the
-    family's classes; bound_case names its non-informative bound case,
-    bound_word names the bound in messages, regime is the message for a
-    joint rate that is not positive, and flat_residual keeps Pareto's
-    leftover pseudo-count 1/alpha in the flat-bound limit.
+    link, location and joint are the family's classes; map is the axis
+    record, read from the link class's ``axis``.  bound_case names the
+    family's non-informative bound case, bound_word names the bound in
+    messages, regime is the message for a joint rate that is not
+    positive, and flat_residual keeps Pareto's leftover pseudo-count
+    1/alpha in the flat-bound limit.
     """
 
-    t: Callable[[float], float]
-    sum_t: Callable[[SuffStats], float]
-    lower: bool
-    positive: bool
     link: type
     location: type
     joint: type
@@ -81,17 +80,21 @@ class Axis:
     bound_word: str
     regime: str
     flat_residual: bool = False
+    map: AxisMap = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "map", self.link.axis)
 
 
 def _require_data(axis: Axis, stats: SuffStats) -> None:
-    if axis.positive and stats.n > 0 and stats.min <= 0:
+    if axis.map.positive and stats.n > 0 and stats.min <= 0:
         raise DomainError("data on a log axis must be strictly positive")
 
 
 def _pooled(axis: Axis, b0: float, stats: SuffStats) -> float:
     if stats.n == 0:
         return b0
-    return min(b0, stats.min) if axis.lower else max(b0, stats.max)
+    return min(b0, stats.min) if axis.map.rises else max(b0, stats.max)
 
 
 def bound(axis: Axis, b0: float, n0: float, alpha: float, stats: SuffStats):
@@ -108,14 +111,14 @@ def exponent(axis: Axis, n0: float, rate0: float, stats: SuffStats,
     the bound estimated too (b None) Gamma(n0 + n, rate0 + sum t(x))."""
     _require_data(axis, stats)
     if b is not None and stats.n > 0 and (
-            stats.min < b if axis.lower else stats.max > b):
-        side = "below" if axis.lower else "above"
+            stats.min < b if axis.map.rises else stats.max > b):
+        side = "below" if axis.map.rises else "above"
         raise DomainError(f"datum {side} the known {axis.bound_word}")
     shape = n0 + stats.n
     rate = rate0
     if stats.n > 0:
-        rate += (axis.sum_t(stats) if b is None
-                 else axis.sum_t(stats) - stats.n * axis.t(b))
+        sum_t = axis.map.sum_t(stats)
+        rate += sum_t if b is None else sum_t - stats.n * axis.map.t(b)
     if shape == 0:
         raise NoInformationError("flat prior and no data: nothing to update")
     if rate <= 0:
@@ -148,10 +151,10 @@ def noninformative(axis: Axis, case: str, stats: SuffStats,
             raise DomainError(f"case {case!r} needs a positive known alpha")
         _require_data(axis, stats)
         n_eff = stats.n + (1.0 / alpha if axis.flat_residual else 0.0)
-        flat = math.inf if axis.lower else 0.0
+        flat = math.inf if axis.map.rises else 0.0
         return axis.location(_pooled(axis, flat, stats), alpha, n_eff)
     if case == "shape":
-        if b is None or (axis.positive and not b > 0):
+        if b is None or (axis.map.positive and not b > 0):
             raise DomainError(f"case 'shape' needs a valid known {axis.bound_word}")
         if stats.n == 0:
             return GammaPosterior(shape=0.0, rate=0.0)

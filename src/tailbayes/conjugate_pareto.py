@@ -210,7 +210,6 @@ def noninformative(case: str, stats: SuffStats, *, alpha: float | None = None,
 
 
 _AXIS = kernel.Axis(
-    t=math.log, sum_t=SuffStats.require_sum_log, lower=True, positive=True,
     link=ParetoLogLink, location=LowerBoundPosterior, joint=ParetoJointPosterior,
     bound_case="location", bound_word="bound l", flat_residual=True,
     regime="pooled geometric mean g_n is at or below 1, so the exponent "

@@ -212,9 +212,7 @@ def noninformative(case: str, stats: SuffStats, *, alpha: float | None = None,
 
 
 _AXIS = kernel.Axis(
-    t=lambda b: -math.log(b), sum_t=lambda stats: -stats.require_sum_log(),
-    lower=False, positive=True, link=ParetoNegLogLink,
-    location=UpperBoundPosterior, joint=PowerJointPosterior,
+    link=ParetoNegLogLink, location=UpperBoundPosterior, joint=PowerJointPosterior,
     bound_case="bound", bound_word="bound u",
     regime="pooled geometric mean is at or above 1 on the absolute scale, "
            "so the shape posterior is invalid; divide the data by a scale "

@@ -386,9 +386,11 @@ class _JointRecord:
     ratios.
 
     On v > 1, (v-1)/v <= (v-1)/(v-rho) < 1, so C(k) in units of w_n lies
-    in [1/(k*(k+1)), 1/k].  A record with w0 outside (0, w_n], or with a
-    constant outside that bracket (one built by hand or from a damaged
-    record), is refused here, before any evaluation divides by it.
+    in [1/(k*(k+1)), 1/k].  A record with w0 outside (0, w_n] (NaN
+    included), with a field that is not finite, or with a constant outside
+    that bracket (one built by hand or from a damaged record), is refused
+    here, before any evaluation divides by it: DomainError for the first
+    two, and ConvergenceError for the third.
     """
 
     l_n: float
@@ -403,6 +405,7 @@ class _JointRecord:
         if not (self.n_eff > 0 and 0.0 < self.w0 <= self.w_n):
             raise DomainError("joint posterior needs n_eff > 0 and "
                               "0 < w0 <= w_n = u_n - l_n")
+        require_finite(vars(self))
         _check_evidence("c_n", self.n_eff, self.c_n)
         _check_evidence("c_n1", self.n_eff + 1.0, self.c_n1)
 

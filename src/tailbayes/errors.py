@@ -5,7 +5,8 @@ UsageError (a bad invocation), 4 for an InvalidRegimeError or a
 ConvergenceError (a closed form or a series asked to operate where it
 breaks down), and 3 for every other error (data and domain problems).
 require_finite is the one finiteness check that every prior, every
-non-informative known value and every law of distributions goes through.
+non-informative known value, every law of distributions and predictives
+and the uniform-joint record go through.
 """
 
 import math

@@ -10,8 +10,14 @@ supplies ``support`` and the array methods ``_log_pdf``, ``_cdf`` and
 ``_inv``, so a scalar is evaluated as a one-point array; ``Trapezoid``
 supplies its density, which is primary there, as ``_pdf``.
 
+The Pareto, shifted-exponential and power families are one
+shifted-exponential model on an axis t of the observable: t(x) = log x,
+x or -log x.  Each axis is written once, as an ``AxisMap`` record
+(``LOG_AXIS``, ``SHIFT_AXIS``, ``NEG_LOG_AXIS``), which both the
+conjugate kernel's updates and the link predictive of its family read.
 Link classes are parameterized by the latent Pareto ``shape`` and
-``scale`` and by the link's ``offset`` and ``anchor``:
+``scale`` and by the link's ``offset`` and ``anchor``, and differ only
+in their record:
 
 * ``ParetoLogLink``:    log(x / anchor) + offset  ~ Pareto(shape, scale)
 * ``ParetoShiftLink``:  x - anchor + offset       ~ Pareto(shape, scale)
@@ -20,38 +26,97 @@ Link classes are parameterized by the latent Pareto ``shape`` and
 With scale == offset the support edge sits exactly at ``anchor``.  All
 three record-discounted predictives use scale < offset, which moves the
 edge past the posterior bound: below it for the log and shift links,
-above it for the negated-log link.
+above it for the negated-log link.  Every parameter must be finite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, ClassVar
 
 import numpy as np
 
 from .distributions import Distribution, _require
+from .errors import require_finite
+from .sufficient import SuffStats
 
-__all__ = [
-    "ParetoLink",
-    "ParetoLogLink",
-    "ParetoShiftLink",
-    "ParetoNegLogLink",
-    "Trapezoid",
-]
+__all__ = ["AxisMap", "LOG_AXIS", "SHIFT_AXIS", "NEG_LOG_AXIS", "ParetoLink",
+           "ParetoLogLink", "ParetoShiftLink", "ParetoNegLogLink", "Trapezoid"]
 
 
 _TINY = 5e-324     # the least positive float
 
 
 @dataclass(frozen=True)
-class ParetoLink(Distribution):
-    """Shared body of the link predictives: y(x) ~ Pareto(shape, scale).
+class AxisMap:
+    """One family's axis t of the observable, written once.
 
-    A subclass supplies the link ``_y`` (+-inf outside its domain), the
-    log-Jacobian ``_log_jacobian`` = log|dy/dx|, the inverse ``_x`` and
-    the ``support``.  ``_cdf`` and ``_inv`` here are those of a link that
-    rises in x; a falling link overrides both.
+    For the kernel: t(b) is a scalar bound on the axis and sum_t(stats)
+    is sum t(x_i); rises says t rises in x, so that the data minimum pins
+    the bound (else the maximum); positive says the data, and a link's
+    anchor, must be strictly positive.  For the link predictive, on
+    arrays: distance(x, b) is t(x) - t(b) (+-inf outside the domain),
+    inverse(d, b) is the x at distance d from b and log_jacobian(x) is
+    log|dt/dx|; edge(d, b) is the scalar x at distance d from b.
+    """
+
+    t: Callable[[float], float]
+    sum_t: Callable[[SuffStats], float]
+    rises: bool
+    positive: bool
+    distance: Callable
+    inverse: Callable
+    log_jacobian: Callable
+    edge: Callable[[float, float], float]
+
+
+def _minus_log(xa):
+    """-log x for x > 0.  Elsewhere (NaN too) it is minus the finite log
+    of the least subnormal: the link density there is 0 whatever this
+    reads."""
+    return -np.log(np.fmax(xa, _TINY))
+
+
+def _log_ratio(xa, b):
+    # x/b is 0 for non-positive x and may underflow to 0 for tiny x
+    r = xa / b
+    return np.log(r, out=np.full(r.shape, -np.inf), where=r > 0)
+
+
+def _log_inverse_ratio(xa, b):
+    # b/x overflows for subnormal x, where log(inf) = inf is the right
+    # limit, and is 0 at x = inf, where log(0) = -inf is
+    with np.errstate(over="ignore", divide="ignore"):
+        r = np.divide(b, xa, out=np.full(xa.shape, np.inf), where=xa > 0)
+        return np.log(r, out=r)
+
+
+LOG_AXIS = AxisMap(
+    t=math.log, sum_t=SuffStats.require_sum_log, rises=True, positive=True,
+    distance=_log_ratio, inverse=lambda d, b: b * np.exp(d),
+    log_jacobian=_minus_log, edge=lambda d, b: b * math.exp(d))
+
+SHIFT_AXIS = AxisMap(
+    t=lambda b: b, sum_t=lambda stats: stats.sum, rises=True, positive=False,
+    distance=lambda xa, b: xa - b, inverse=lambda d, b: b + d,
+    log_jacobian=lambda xa: 0.0, edge=lambda d, b: b + d)
+
+NEG_LOG_AXIS = AxisMap(
+    t=lambda b: -math.log(b), sum_t=lambda stats: -stats.require_sum_log(),
+    rises=False, positive=True,
+    distance=_log_inverse_ratio, inverse=lambda d, b: b * np.exp(-d),
+    log_jacobian=_minus_log, edge=lambda d, b: b * math.exp(-d))
+
+
+@dataclass(frozen=True)
+class ParetoLink(Distribution):
+    """Shared body of the link predictives: y(x) ~ Pareto(shape, scale),
+    with y(x) = t(x) - t(anchor) + offset on the subclass's ``axis``.
+
+    The support edge sits at distance scale - offset from the anchor; the
+    support runs from it to +inf when t rises in x, else from 0 up to it
+    (the one falling axis, -log x, reaches +inf at x = 0).
     """
 
     shape: float
@@ -59,9 +124,21 @@ class ParetoLink(Distribution):
     offset: float
     anchor: float
 
+    axis: ClassVar[AxisMap]
+
     def __post_init__(self):
+        require_finite(vars(self))
         _require(self.shape > 0, "shape must be positive")
         _require(self.scale > 0, "scale must be positive")
+        _require(not self.axis.positive or self.anchor > 0,
+                 "anchor must be positive")
+
+    def support(self) -> tuple[float, float]:
+        edge = self.axis.edge(self.scale - self.offset, self.anchor)
+        return (edge, math.inf) if self.axis.rises else (0.0, edge)
+
+    def _y(self, xa):
+        return self.axis.distance(xa, self.anchor) + self.offset
 
     def _log_pdf(self, xa):
         y = self._y(xa)
@@ -73,30 +150,21 @@ class ParetoLink(Distribution):
         body = (
             math.log(self.shape)
             + self.shape * math.log(self.scale)
-            + self._log_jacobian(xa)
+            + self.axis.log_jacobian(xa)
             - (self.shape + 1.0) * np.log(np.fmax(y, self.scale))
         )
         return np.where((xa >= lo) & (xa <= hi), body, -np.inf)
 
-    def _tail(self, xa):
-        """P(Y >= y(x)), which is 1 below the latent scale."""
-        return (self.scale / np.fmax(self._y(xa), self.scale)) ** self.shape
-
-    def _y_at_tail(self, q):
-        """The latent y with P(Y >= y) = q."""
-        return self.scale * q ** (-1.0 / self.shape)
-
     def _cdf(self, xa):
-        return 1.0 - self._tail(xa)
+        # P(Y >= y(x)), which is 1 below the latent scale, is the upper tail
+        # of x where y rises in x and its lower tail where y falls
+        tail = (self.scale / np.fmax(self._y(xa), self.scale)) ** self.shape
+        return 1.0 - tail if self.axis.rises else tail
 
     def _inv(self, p):
-        return self._x(self._y_at_tail(1.0 - p))
-
-
-def _log_positive(xa):
-    """log x for x > 0.  Elsewhere (NaN too) it is the finite log of the
-    least subnormal: the link density there is 0 whatever this reads."""
-    return np.log(np.fmax(xa, _TINY))
+        # the latent y with P(Y >= y) = q, q the tail of x that _cdf reads
+        y = self.scale * (1.0 - p if self.axis.rises else p) ** (-1.0 / self.shape)
+        return self.axis.inverse(y - self.offset, self.anchor)
 
 
 class ParetoLogLink(ParetoLink):
@@ -107,23 +175,7 @@ class ParetoLogLink(ParetoLink):
     [anchor * exp(scale - offset), inf).
     """
 
-    def __post_init__(self):
-        super().__post_init__()
-        _require(self.anchor > 0, "anchor must be positive")
-
-    def support(self) -> tuple[float, float]:
-        return (self.anchor * math.exp(self.scale - self.offset), math.inf)
-
-    def _y(self, xa):
-        # x/anchor is 0 for non-positive x and may underflow to 0 for tiny x
-        r = xa / self.anchor
-        return np.log(r, out=np.full(r.shape, -np.inf), where=r > 0) + self.offset
-
-    def _log_jacobian(self, xa):
-        return -_log_positive(xa)
-
-    def _x(self, y):
-        return self.anchor * np.exp(y - self.offset)
+    axis = LOG_AXIS
 
 
 class ParetoShiftLink(ParetoLink):
@@ -135,17 +187,7 @@ class ParetoShiftLink(ParetoLink):
     when scale == offset.
     """
 
-    def support(self) -> tuple[float, float]:
-        return (self.anchor + (self.scale - self.offset), math.inf)
-
-    def _y(self, xa):
-        return xa - self.anchor + self.offset
-
-    def _log_jacobian(self, xa):
-        return 0.0
-
-    def _x(self, y):
-        return self.anchor + (y - self.offset)
+    axis = SHIFT_AXIS
 
 
 class ParetoNegLogLink(ParetoLink):
@@ -156,32 +198,7 @@ class ParetoNegLogLink(ParetoLink):
     (0, anchor * exp(offset - scale)].
     """
 
-    def __post_init__(self):
-        super().__post_init__()
-        _require(self.anchor > 0, "anchor must be positive")
-
-    def support(self) -> tuple[float, float]:
-        return (0.0, self.anchor * math.exp(self.offset - self.scale))
-
-    def _cdf(self, xa):
-        # y falls in x, so the latent upper tail is the lower tail of x
-        return self._tail(xa)
-
-    def _inv(self, p):
-        return self._x(self._y_at_tail(p))
-
-    def _y(self, xa):
-        # anchor/x overflows for subnormal x, where log(inf) = inf is the
-        # right limit, and is 0 at x = inf, where log(0) = -inf is
-        with np.errstate(over="ignore", divide="ignore"):
-            r = np.divide(self.anchor, xa, out=np.full(xa.shape, np.inf), where=xa > 0)
-            return np.log(r, out=r) + self.offset
-
-    def _log_jacobian(self, xa):
-        return -_log_positive(xa)
-
-    def _x(self, y):
-        return self.anchor * np.exp(self.offset - y)
+    axis = NEG_LOG_AXIS
 
 
 @dataclass(frozen=True)
@@ -198,6 +215,7 @@ class Trapezoid(Distribution):
     upper: float
 
     def __post_init__(self):
+        require_finite(vars(self))
         _require(self.lower < self.flat_lo, "need lower < flat_lo")
         _require(self.flat_lo <= self.flat_hi, "need flat_lo <= flat_hi")
         _require(self.flat_hi < self.upper, "need flat_hi < upper")

@@ -6,6 +6,7 @@ command line, whose errors are also checked for their exit code (2 for
 usage, 3 for data and domain problems).
 """
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -21,6 +22,8 @@ from tailbayes import conjugate_power as cpow
 from tailbayes import conjugate_uniform as cuni
 from tailbayes import pot_pipeline as pp
 from tailbayes.errors import DataError, DomainError, NoInformationError
+from tailbayes.predictives import (ParetoLogLink, ParetoNegLogLink, ParetoShiftLink,
+                                   Trapezoid)
 from tailbayes.sufficient import SuffStats, suff_stats
 
 STATES = Path(__file__).parent / "data" / "states"
@@ -93,6 +96,31 @@ def test_summary_bounds_must_match_its_count(fields, match):
 def test_prior_refuses_a_value_outside_its_domain(cls, fields, match):
     with pytest.raises(DomainError, match=match):
         cls(**fields)
+
+
+JOINT = cuni.posterior_joint(cuni.UniformJointPrior(w0=1.0, n0=1.0, l0=0.0, u0=1.0),
+                             suff_stats([0.2, 2.5, 1.0]))
+PREDICTIVES = {
+    "log-link": ParetoLogLink(shape=2.0, scale=1.0, offset=1.5, anchor=2.0),
+    "shift-link": ParetoShiftLink(shape=2.0, scale=1.0, offset=1.5, anchor=-2.0),
+    "neg-log-link": ParetoNegLogLink(shape=2.0, scale=1.0, offset=1.5, anchor=2.0),
+    "trapezoid": Trapezoid(lower=1.0, flat_lo=2.0, flat_hi=3.5, upper=4.0),
+    "joint-posterior": JOINT,
+    "joint-predictive": cuni.predictive_joint(JOINT),
+}
+
+
+@pytest.mark.parametrize("name", PREDICTIVES)
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_predictive_refuses_a_non_finite_parameter(name, bad):
+    # each field at construction, where no other check refuses it too (an
+    # infinite link offset, trapezoid lower end or joint n_eff); a joint
+    # record's range check refuses a NaN end or pole first
+    law = PREDICTIVES[name]
+    for field in dataclasses.fields(law):
+        with pytest.raises(DomainError,
+                           match=f"{field.name} must be finite|0 < w0 <= w_n"):
+            dataclasses.replace(law, **{field.name: bad})
 
 
 @pytest.mark.parametrize("call,error", [
