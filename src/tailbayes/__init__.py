@@ -3,9 +3,8 @@ for generalized Pareto subclasses, with an independent numerical oracle."""
 
 __version__ = "0.1.0"
 
-from .distributions import (GPMapping, GPParams, Gamma, LogPower, Lomax,
-                            Pareto, Power, ShiftedExp, Uniform, as_generator,
-                            inverted_pareto, to_gp)
+from .distributions import (GPParams, Gamma, LogPower, Lomax, Pareto, Power,
+                            ShiftedExp, Uniform, as_generator)
 from .errors import (ConvergenceError, CoverageError, DataError, DomainError,
                      InvalidRegimeError, NoInformationError, TailBayesError,
                      UnsupportedMappingError, UsageError)
@@ -19,8 +18,8 @@ from .special_functions import upper_inc_gamma_neg
 
 __all__ = [
     "__version__",
-    "GPMapping", "GPParams", "Gamma", "LogPower", "Lomax", "Pareto", "Power",
-    "ShiftedExp", "Uniform", "as_generator", "inverted_pareto", "to_gp",
+    "GPParams", "Gamma", "LogPower", "Lomax", "Pareto", "Power", "ShiftedExp",
+    "Uniform", "as_generator",
     "ConvergenceError", "CoverageError", "DataError", "DomainError",
     "InvalidRegimeError", "NoInformationError", "TailBayesError",
     "UnsupportedMappingError", "UsageError",

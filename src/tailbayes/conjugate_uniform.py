@@ -149,6 +149,19 @@ def _nodes(p: int, a: float, r_max: float):
     return x, c
 
 
+@functools.lru_cache(maxsize=64)
+def _segment_sums(a: float, rho: float):
+    """The edges _edges(a, rho) of _nodes(2, a, rho) and the node sums of
+    F_2(a, rho) over the segments below each edge, from 0 at the first:
+    memoised with the rule, so both arrays are read-only."""
+    edges = _edges(a, rho)
+    x, c = _nodes(2, a, rho)
+    whole = (c / (1.0 - rho + rho * x)).reshape(-1, _GL_X.size).sum(axis=1)
+    below = np.concatenate(([0.0], np.cumsum(whole)))
+    edges.flags.writeable = below.flags.writeable = False
+    return edges, below
+
+
 def _series(p: int, a: float, r, r_max: float):
     """F_p(a, r) = sum_k r**k / ((a+k)(a+k+1)...(a+k+p-1)) over an array r
     of ratios in [0, r_max]; every term positive, so nothing cancels.
@@ -198,18 +211,16 @@ def _series_below(a: float, rho: float, top):
     """(1/a) integral_0^top e**-u x / (1-rho + rho*x) du, x = 1 - e**(-u/a),
     over a 1-d array top >= 0: the integral form of F_2(a, rho) cut at top.
 
-    Segments of _nodes(2, a, rho) wholly below top add their node sums;
-    the one holding top gets the same 16-point rule on [edge, top], which
-    lies at least its own length from the pole as the whole segment does.
+    Segments of _nodes(2, a, rho) wholly below top add their node sums,
+    memoised in _segment_sums; the one holding top gets the same 16-point
+    rule on [edge, top], which lies at least its own length from the pole
+    as the whole segment does.
     Every term is positive, so the cut integral keeps relative accuracy
     as top goes to 0.  The rule runs as (16 x points) tiles of _TILE
     elements, its rows added in node order (_sum_rows), so a point gets
     the same value alone as inside an array.
     """
-    edges = _edges(a, rho)
-    x, c = _nodes(2, a, rho)
-    whole = (c / (1.0 - rho + rho * x)).reshape(-1, _GL_X.size).sum(axis=1)
-    below = np.concatenate(([0.0], np.cumsum(whole)))
+    edges, below = _segment_sums(a, rho)
     top = np.minimum(top, _U_END)
     seg = np.minimum(np.searchsorted(edges, top, side="right") - 1,
                      edges.size - 2)
@@ -434,17 +445,18 @@ class UniformJointPosterior(_JointRecord):
 
     def width_pdf(self, w):
         """Density of the width marginal at w (zero at or below w_n and at
-        w = inf)."""
+        w = inf, NaN at NaN)."""
         v = _points(w) / self.w_n
         # the power overflows only at v < 1, and the body is 0 * inf / inf
         # at v = inf: the density reads 0 at both
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             body = v ** (-(self.n_eff + 1.0)) * (v - 1.0) / (v - self.rho)
-        out = np.where((v > 1.0) & (v < math.inf), body / (self.c_n * self.w_n), 0.0)
+        out = np.where((v <= 1.0) | (v == math.inf), 0.0, body / (self.c_n * self.w_n))
         return _ret(w, out)
 
     def width_cdf(self, w):
-        """Distribution function of the width marginal (0 at or below w_n).
+        """Distribution function of the width marginal (0 at or below w_n,
+        NaN at NaN).
 
         With w/w_n = e**(u/N), its mass below w is C(N)'s own integrand
         cut at U = N*log(w/w_n), over C(N): (1/N) integral_0^U e**-u x /
@@ -456,7 +468,7 @@ class UniformJointPosterior(_JointRecord):
         """
         arr = _points(w)
         gap = (arr - self.w_n) / self.w_n
-        out = np.zeros(arr.shape)
+        out = np.where(gap <= 0.0, 0.0, np.nan)
         wide = gap > 0.0
         top = self.n_eff * np.log1p(gap[wide])
         out[wide] = _series_below(self.n_eff, self.rho, top) / self.c_n

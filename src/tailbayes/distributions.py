@@ -10,12 +10,21 @@ it gets the same bits as the same point inside an array, and return a
 float for a scalar.  Densities are computed in log space and
 exponentiated at the boundary of the call, through ``_pdf``; a law whose
 density is primary overrides ``_pdf`` and takes its log for ``_log_pdf``.
+A NaN point reads NaN in ``log_pdf``, ``pdf`` and ``cdf``: every
+comparison with it is false, so each law's masks are written to leave it
+a NaN value rather than a definite one.  ``quantile`` refuses NaN.
 
 Support intervals are closed on the left and open on the right: the pdf at
 an exact finite left endpoint returns its limiting value, the pdf at the
 right endpoint returns 0.  Samplers draw through the inverse CDF from an
 explicit ``numpy.random.Generator`` (or an integer seed) and never touch
 global RNG state.
+
+``GPParams`` is the paper's three-parameter law GP(theta, sigma, xi).
+Its subclasses by the sign of xi are laws here of their own: ``Pareto``
+and ``Lomax`` (xi > 0), ``ShiftedExp`` (xi = 0), ``Power`` through
+x -> -x (xi < 0) and ``Uniform`` (xi = -1).  That table is checked, as
+a change of variables, by ``test_gp_table`` in tests/test_distributions.py.
 
 ``Gamma`` uses the shape/rate parameterization (density proportional to
 ``x**(shape-1) * exp(-rate*x)``) everywhere in this package.
@@ -28,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedMappingError, require_finite
+from .errors import DomainError, require_finite
 
 __all__ = [
     "XI_ZERO_TOL",
@@ -41,9 +50,6 @@ __all__ = [
     "LogPower",
     "Uniform",
     "Gamma",
-    "GPMapping",
-    "to_gp",
-    "inverted_pareto",
 ]
 
 # Below this magnitude the tail index is treated as exactly zero (the
@@ -144,19 +150,19 @@ class GPParams(Distribution):
     def _log_pdf(self, xa):
         z = (xa - self.theta) / self.sigma
         if abs(self.xi) < XI_ZERO_TOL:
-            return np.where(z >= 0, -z - math.log(self.sigma), -np.inf)
+            return np.where(z < 0, -np.inf, -z - math.log(self.sigma))
         t = 1.0 + self.xi * z
         with np.errstate(divide="ignore", invalid="ignore"):
             # log1p keeps the xi -> 0 region free of cancellation
             body = -math.log(self.sigma) - (1.0 / self.xi + 1.0) * np.log1p(
-                np.where(t > 0, self.xi * z, 0.0)
+                np.where(t <= 0, 0.0, self.xi * z)
             )
-        return np.where((z >= 0) & (t > 0), body, -np.inf)
+        return np.where((z < 0) | (t <= 0), -np.inf, body)
 
     def _cdf(self, xa):
         z = (xa - self.theta) / self.sigma
         if abs(self.xi) < XI_ZERO_TOL:
-            return np.where(z >= 0, -np.expm1(-np.maximum(z, 0.0)), 0.0)
+            return np.where(z < 0, 0.0, -np.expm1(-np.maximum(z, 0.0)))
         # z held to 0 below the support, which reads 0 anyway: there the
         # tail would overflow
         xz = self.xi * np.maximum(z, 0.0)
@@ -165,11 +171,11 @@ class GPParams(Distribution):
             # beyond the finite upper endpoint of xi < 0 the tail is 0, so
             # the CDF saturates at 1
             tail = np.where(
-                t > 0,
-                np.exp(-np.log1p(np.where(t > 0, xz, 0.0)) / self.xi),
+                t <= 0,
                 0.0 if self.xi < 0 else 1.0,
+                np.exp(-np.log1p(np.where(t <= 0, 0.0, xz)) / self.xi),
             )
-        return np.where(z >= 0, 1.0 - tail, 0.0)
+        return np.where(z < 0, 0.0, 1.0 - tail)
 
     def _inv(self, p):
         if abs(self.xi) < XI_ZERO_TOL:
@@ -194,19 +200,18 @@ class Pareto(Distribution):
         return (self.l, math.inf)
 
     def _log_pdf(self, xa):
-        # fmax lifts x (NaN included) to l, where its log is finite; the
-        # points it lifts lie below the support and read -inf
+        # maximum lifts x to l, where its log is finite; the points it
+        # lifts lie below the support and read -inf
         body = (
             math.log(self.alpha)
             + self.alpha * math.log(self.l)
-            - (self.alpha + 1.0) * np.log(np.fmax(xa, self.l))
+            - (self.alpha + 1.0) * np.log(np.maximum(xa, self.l))
         )
-        return np.where(xa >= self.l, body, -np.inf)
+        return np.where(xa < self.l, -np.inf, body)
 
     def _cdf(self, xa):
         # the ratio is 1 below l, so the cdf is exactly 0 there
-        ratio = np.divide(self.l, xa, out=np.ones(xa.shape), where=xa >= self.l)
-        return 1.0 - ratio**self.alpha
+        return 1.0 - (self.l / np.maximum(xa, self.l)) ** self.alpha
 
     def _inv(self, p):
         return self.l * (1.0 - p) ** (-1.0 / self.alpha)
@@ -233,10 +238,10 @@ class Lomax(Distribution):
             + self.alpha * math.log(self.l)
             - (self.alpha + 1.0) * np.log(np.abs(xa) + self.l)
         )
-        return np.where(xa >= 0, body, -np.inf)
+        return np.where(xa < 0, -np.inf, body)
 
     def _cdf(self, xa):
-        return np.where(xa >= 0, 1.0 - (self.l / (np.abs(xa) + self.l)) ** self.alpha, 0.0)
+        return np.where(xa < 0, 0.0, 1.0 - (self.l / (np.abs(xa) + self.l)) ** self.alpha)
 
     def _inv(self, p):
         return self.l * ((1.0 - p) ** (-1.0 / self.alpha) - 1.0)
@@ -258,10 +263,10 @@ class ShiftedExp(Distribution):
 
     def _log_pdf(self, xa):
         body = math.log(self.alpha) - self.alpha * (xa - self.l)
-        return np.where(xa >= self.l, body, -np.inf)
+        return np.where(xa < self.l, -np.inf, body)
 
     def _cdf(self, xa):
-        return np.where(xa >= self.l, -np.expm1(-self.alpha * np.maximum(xa - self.l, 0.0)), 0.0)
+        return np.where(xa < self.l, 0.0, -np.expm1(-self.alpha * np.maximum(xa - self.l, 0.0)))
 
     def _inv(self, p):
         return self.l - np.log1p(-p) / self.alpha
@@ -294,7 +299,8 @@ class Power(Distribution):
             + (self.b - 1.0) * log_x
             - self.b * math.log(self.a)
         )
-        return np.where((xa >= 0.0) & (xa < self.a), body, -np.inf)
+        # minimum(x, -inf) is -inf outside the support, but NaN at NaN
+        return np.where((xa >= 0.0) & (xa < self.a), body, np.minimum(xa, -np.inf))
 
     def _cdf(self, xa):
         return (xa / self.a).clip(0.0, 1.0) ** self.b
@@ -319,7 +325,7 @@ class LogPower(Distribution):
 
     def _log_pdf(self, xa):
         body = math.log(self.b) + self.b * (xa - self.a)
-        return np.where(xa < self.a, body, -np.inf)
+        return np.where(xa >= self.a, -np.inf, body)
 
     def _cdf(self, xa):
         out = np.exp(self.b * np.minimum(xa - self.a, 0.0))
@@ -345,7 +351,8 @@ class Uniform(Distribution):
 
     def _log_pdf(self, xa):
         body = -math.log(self.u - self.l)
-        return np.where((xa >= self.l) & (xa < self.u), body, -np.inf)
+        # minimum(x, -inf) is -inf outside the support, but NaN at NaN
+        return np.where((xa >= self.l) & (xa < self.u), body, np.minimum(xa, -np.inf))
 
     def _cdf(self, xa):
         return ((xa - self.l) / (self.u - self.l)).clip(0.0, 1.0)
@@ -388,7 +395,7 @@ class Gamma(Distribution):
                 if self.shape > 1.0
                 else (math.log(self.rate) if self.shape == 1.0 else np.inf)
             )
-        out = np.where(xa > 0, body, -np.inf)
+        out = np.where(xa < 0, -np.inf, body)
         return np.where(xa == 0.0, at_zero, out)
 
     def _cdf(self, xa):
@@ -403,78 +410,3 @@ class Gamma(Distribution):
 
     def mean(self) -> float:
         return self.shape / self.rate
-
-
-def inverted_pareto(alpha: float, l: float) -> Power:
-    """Law of 1/X for X Pareto(alpha, l); identical to Power(1/l, alpha)."""
-    _require(alpha > 0, "alpha must be positive")
-    _require(l > 0, "lower bound l must be positive")
-    return Power(1.0 / l, alpha)
-
-
-@dataclass(frozen=True)
-class GPMapping:
-    """Result of mapping a subclass law onto generalized Pareto form.
-
-    ``transform`` sends the subclass variable onto the GP-distributed one;
-    orientation records which transform that is: "identity" (x), "negated"
-    (-x) or "reciprocal" (-1/x, used for the reciprocal of a Pareto
-    variate, whose image lives on a negative interval).
-    """
-
-    gp: GPParams
-    orientation: str
-
-    def transform(self, x):
-        xa = _points(x)
-        if self.orientation == "identity":
-            out = xa
-        elif self.orientation == "negated":
-            out = -xa
-        else:
-            out = -1.0 / xa
-        return _ret(x, out)
-
-    def jacobian(self, x):
-        """|d transform / dx|, for change-of-variables checks."""
-        xa = _points(x)
-        if self.orientation == "reciprocal":
-            out = 1.0 / xa**2
-        else:
-            out = np.ones_like(xa)
-        return _ret(x, out)
-
-
-def to_gp(dist, *, inverted: bool = False) -> GPMapping:
-    """Map a subclass law onto its generalized Pareto parameters.
-
-    With ``inverted=True`` a Pareto input is mapped through its reciprocal
-    representation instead of the direct one: the transformed variable
-    -1/x follows the returned GP law on [-1/l, 0).
-    """
-    if inverted:
-        if not isinstance(dist, Pareto):
-            raise UnsupportedMappingError(
-                "the reciprocal route applies to Pareto inputs only"
-            )
-        a, l = dist.alpha, dist.l
-        return GPMapping(GPParams(-1.0 / l, 1.0 / (l * a), -1.0 / a), "reciprocal")
-    if isinstance(dist, Pareto):
-        return GPMapping(
-            GPParams(dist.l, dist.l / dist.alpha, 1.0 / dist.alpha), "identity"
-        )
-    if isinstance(dist, Lomax):
-        return GPMapping(
-            GPParams(0.0, dist.l / dist.alpha, 1.0 / dist.alpha), "identity"
-        )
-    if isinstance(dist, ShiftedExp):
-        return GPMapping(GPParams(dist.l, 1.0 / dist.alpha, 0.0), "identity")
-    if isinstance(dist, Power):
-        return GPMapping(
-            GPParams(-dist.a, dist.a / dist.b, -1.0 / dist.b), "negated"
-        )
-    if isinstance(dist, Uniform):
-        return GPMapping(GPParams(dist.l, dist.u - dist.l, -1.0), "identity")
-    raise UnsupportedMappingError(
-        f"{type(dist).__name__} has no generalized Pareto form"
-    )

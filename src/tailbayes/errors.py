@@ -6,7 +6,9 @@ ConvergenceError (a closed form or a series asked to operate where it
 breaks down), and 3 for every other error (data and domain problems).
 require_finite is the one finiteness check that every prior, every
 non-informative known value, every law of distributions and predictives
-and the uniform-joint record go through.
+and the uniform-joint record go through.  UnsupportedMappingError has no
+raiser left; it stays importable because the README's exit-code table
+names it.
 """
 
 import math
@@ -66,7 +68,11 @@ class CoverageError(TailBayesError):
 
 
 class UnsupportedMappingError(TailBayesError):
-    """Asked to map a distribution with no generalized-Pareto form."""
+    """Asked to map a distribution with no generalized-Pareto form.
+
+    Nothing in the package raises it; it stays importable, with its exit
+    code 3, because the README's exit-code table documents it.
+    """
 
 
 def require_finite(values) -> None:

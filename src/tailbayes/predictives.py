@@ -56,9 +56,10 @@ class AxisMap:
     is sum t(x_i); rises says t rises in x, so that the data minimum pins
     the bound (else the maximum); positive says the data, and a link's
     anchor, must be strictly positive.  For the link predictive, on
-    arrays: distance(x, b) is t(x) - t(b) (+-inf outside the domain),
-    inverse(d, b) is the x at distance d from b and log_jacobian(x) is
-    log|dt/dx|; edge(d, b) is the scalar x at distance d from b.
+    arrays: distance(x, b) is t(x) - t(b) (+-inf outside the domain,
+    NaN at NaN), inverse(d, b) is the x at distance d from b and
+    log_jacobian(x) is log|dt/dx|; edge(d, b) is the scalar x at distance
+    d from b.
     """
 
     t: Callable[[float], float]
@@ -72,23 +73,24 @@ class AxisMap:
 
 
 def _minus_log(xa):
-    """-log x for x > 0.  Elsewhere (NaN too) it is minus the finite log
+    """-log x for x > 0, NaN at NaN.  Elsewhere it is minus the finite log
     of the least subnormal: the link density there is 0 whatever this
     reads."""
-    return -np.log(np.fmax(xa, _TINY))
+    return -np.log(np.maximum(xa, _TINY))
 
 
 def _log_ratio(xa, b):
-    # x/b is 0 for non-positive x and may underflow to 0 for tiny x
+    # x/b is 0 for non-positive x and may underflow to 0 for tiny x; a NaN
+    # ratio takes its log, NaN
     r = xa / b
-    return np.log(r, out=np.full(r.shape, -np.inf), where=r > 0)
+    return np.log(r, out=np.full(r.shape, -np.inf), where=~(r <= 0))
 
 
 def _log_inverse_ratio(xa, b):
     # b/x overflows for subnormal x, where log(inf) = inf is the right
-    # limit, and is 0 at x = inf, where log(0) = -inf is
+    # limit, and is 0 at x = inf, where log(0) = -inf is; NaN stays NaN
     with np.errstate(over="ignore", divide="ignore"):
-        r = np.divide(b, xa, out=np.full(xa.shape, np.inf), where=xa > 0)
+        r = np.divide(b, xa, out=np.full(xa.shape, np.inf), where=~(xa <= 0))
         return np.log(r, out=r)
 
 
@@ -144,21 +146,21 @@ class ParetoLink(Distribution):
         y = self._y(xa)
         lo, hi = self.support()
         # inside is decided against the reported edge, not against y, which
-        # rounds apart from it; fmax lifts y (NaN included) to the latent
-        # scale, where its log is finite, for a point at the edge whose y
-        # rounds below it and for the points outside, which read -inf
+        # rounds apart from it; maximum lifts y to the latent scale, where
+        # its log is finite, for a point at the edge whose y rounds below it
+        # and for the points outside, which read -inf
         body = (
             math.log(self.shape)
             + self.shape * math.log(self.scale)
             + self.axis.log_jacobian(xa)
-            - (self.shape + 1.0) * np.log(np.fmax(y, self.scale))
+            - (self.shape + 1.0) * np.log(np.maximum(y, self.scale))
         )
-        return np.where((xa >= lo) & (xa <= hi), body, -np.inf)
+        return np.where((xa < lo) | (xa > hi), -np.inf, body)
 
     def _cdf(self, xa):
         # P(Y >= y(x)), which is 1 below the latent scale, is the upper tail
         # of x where y rises in x and its lower tail where y falls
-        tail = (self.scale / np.fmax(self._y(xa), self.scale)) ** self.shape
+        tail = (self.scale / np.maximum(self._y(xa), self.scale)) ** self.shape
         return 1.0 - tail if self.axis.rises else tail
 
     def _inv(self, p):
@@ -235,10 +237,10 @@ class Trapezoid(Distribution):
         h = self.height
         up = h * (xc - self.lower) / (self.flat_lo - self.lower)
         down = h * (self.upper - xc) / (self.upper - self.flat_hi)
-        # up is 0 below lower; NaN falls through to 0
+        # up is 0 below lower; NaN falls through to down, NaN
         return np.where(xa < self.flat_lo, up,
                         np.where(xa < self.flat_hi, h,
-                                 np.where(xa < self.upper, down, 0.0)))
+                                 np.where(xa >= self.upper, 0.0, down)))
 
     def _clip(self, xa):
         """x held to [lower, upper], where the ramps are read: far outside,
@@ -247,7 +249,7 @@ class Trapezoid(Distribution):
 
     def _log_pdf(self, xa):
         dens = self._pdf(xa)
-        return np.log(dens, out=np.full(dens.shape, -np.inf), where=dens > 0)
+        return np.log(dens, out=np.full(dens.shape, -np.inf), where=dens != 0)
 
     def _cdf(self, xa):
         xc = self._clip(xa)
@@ -258,10 +260,10 @@ class Trapezoid(Distribution):
         ramp1 = 0.5 * h * (xc - self.lower) ** 2 / r1
         mid = c1 + h * (xc - self.flat_lo)
         ramp2 = 1.0 - 0.5 * h * (self.upper - xc) ** 2 / r2
-        # ramp1 is 0 below lower; NaN falls through to 1
+        # ramp1 is 0 below lower; NaN falls through to ramp2, NaN
         return np.where(xa < self.flat_lo, ramp1,
                         np.where(xa < self.flat_hi, mid,
-                                 np.where(xa < self.upper, ramp2, 1.0)))
+                                 np.where(xa >= self.upper, 1.0, ramp2)))
 
     def _inv(self, p):
         # 0 < p < 1, so both square roots take positive arguments

@@ -1,4 +1,4 @@
-"""Distribution surface: normalization, inverses, samplers, GP mappings."""
+"""Distribution surface: normalization, inverses, samplers, the GP table."""
 
 import dataclasses
 import math
@@ -18,11 +18,9 @@ from tailbayes import (
     Power,
     ShiftedExp,
     Uniform,
-    inverted_pareto,
-    to_gp,
 )
 from tailbayes.distributions import XI_ZERO_TOL
-from tailbayes.errors import DomainError, UnsupportedMappingError
+from tailbayes.errors import DomainError
 
 NORMALIZATION_TOL = 1e-8
 POINTWISE_TOL = 1e-10
@@ -227,65 +225,41 @@ def test_xi_zero_branch_continuity():
     assert np.allclose(inner.cdf(xs), outer.cdf(xs), atol=1e-7)
 
 
-# Mapping between the subclasses and generalized Pareto form.
+# The paper's table: each subclass law is GP(theta, sigma, xi) of a map of
+# its variable, and the sign of xi names the subclass.
 
 def support_points(dist, count=100):
     return dist.quantile(np.linspace(0.002, 0.998, count))
 
 
-@pytest.mark.parametrize("dist,expected", [
-    (Pareto(alpha=2.0, l=1.0), GPParams(1.0, 0.5, 0.5)),
-    (Uniform(l=0.0, u=3.0), GPParams(0.0, 3.0, -1.0)),
-    (Power(a=3.0, b=2.0), GPParams(-3.0, 1.5, -0.5)),
-    (Lomax(alpha=2.0, l=4.0), GPParams(0.0, 2.0, 0.5)),
-    (ShiftedExp(alpha=4.0, l=-1.0), GPParams(-1.0, 0.25, 0.0)),
-])
-def test_to_gp_parameter_table(dist, expected):
-    mapping = to_gp(dist)
-    assert mapping.gp == expected
-    expected_orientation = "negated" if isinstance(dist, Power) else "identity"
-    assert mapping.orientation == expected_orientation
+XI_RULE = {"pareto": lambda xi: xi > 0, "shifted exponential": lambda xi: xi == 0,
+           "power": lambda xi: xi < 0, "uniform": lambda xi: xi == -1}
+IDENTITY, ONE = (lambda x: x), (lambda x: np.ones_like(x))
+A, L = 2.5, 1.6   # the Pareto(alpha, l) of the reciprocal route
+
+# subclass, law, its image law, the map onto the image and |d map / dx|
+GP_TABLE = {
+    "pareto": ("pareto", Pareto(2.0, 1.0), GPParams(1.0, 0.5, 0.5), IDENTITY, ONE),
+    "lomax": ("pareto", Lomax(2.0, 4.0), GPParams(0.0, 2.0, 0.5), IDENTITY, ONE),
+    "shifted_exp": ("shifted exponential", ShiftedExp(4.0, -1.0),
+                    GPParams(-1.0, 0.25, 0.0), IDENTITY, ONE),
+    "power": ("power", Power(3.0, 2.0), GPParams(-3.0, 1.5, -0.5), np.negative, ONE),
+    "uniform": ("uniform", Uniform(0.0, 3.0), GPParams(0.0, 3.0, -1.0), IDENTITY, ONE),
+    # -1/X of a Pareto variate X is GP on [-1/l, 0), and 1/X is Power(1/l, alpha)
+    "pareto_reciprocal": ("power", Pareto(A, L), GPParams(-1 / L, 1 / (L * A), -1 / A),
+                          lambda x: -1.0 / x, lambda x: x**-2.0),
+    "pareto_inverse": ("power", Pareto(A, L), Power(1 / L, A),
+                       lambda x: 1.0 / x, lambda x: x**-2.0),
+}
 
 
-@pytest.mark.parametrize("name", ["pareto", "lomax", "shifted_exp", "power",
-                                  "uniform"])
-def test_change_of_variables_consistency(name):
-    dist = VARIANTS[name]
-    mapping = to_gp(dist)
-    xs = support_points(dist)
-    lhs = dist.pdf(xs)
-    rhs = mapping.gp.pdf(mapping.transform(xs)) * mapping.jacobian(xs)
-    assert np.max(np.abs(lhs - rhs)) < POINTWISE_TOL
-
-
-def test_reciprocal_route_consistency():
-    dist = Pareto(alpha=2.5, l=1.6)
-    mapping = to_gp(dist, inverted=True)
-    assert mapping.orientation == "reciprocal"
-    assert mapping.gp == GPParams(-1.0 / 1.6, 1.0 / (1.6 * 2.5), -1.0 / 2.5)
-    xs = support_points(dist)
-    lhs = dist.pdf(xs)
-    rhs = mapping.gp.pdf(mapping.transform(xs)) * mapping.jacobian(xs)
-    assert np.max(np.abs(lhs - rhs)) < POINTWISE_TOL
-
-
-def test_inverted_pareto_is_power():
-    dist = inverted_pareto(2.5, 1.6)
-    assert dist == Power(a=1.0 / 1.6, b=2.5)
-    # Push-forward check: density of 1/X at y equals pareto density at 1/y
-    # times the jacobian y**-2.
-    ys = np.linspace(0.05, 1.0 / 1.6 - 0.01, 40)
-    pareto = Pareto(alpha=2.5, l=1.6)
-    assert np.max(np.abs(dist.pdf(ys) - pareto.pdf(1.0 / ys) / ys**2)) < POINTWISE_TOL
-
-
-def test_to_gp_rejects_non_table_rows():
-    with pytest.raises(UnsupportedMappingError):
-        to_gp(Gamma(shape=1.0, rate=1.0))
-    with pytest.raises(UnsupportedMappingError):
-        to_gp(LogPower(a=0.0, b=1.0))
-    with pytest.raises(UnsupportedMappingError):
-        to_gp(Uniform(0.0, 1.0), inverted=True)
+@pytest.mark.parametrize("row", sorted(GP_TABLE))
+def test_gp_table(row):
+    subclass, law, image, to, jacobian = GP_TABLE[row]
+    xs = support_points(law)
+    assert np.max(np.abs(law.pdf(xs) - image.pdf(to(xs)) * jacobian(xs))) < POINTWISE_TOL
+    if isinstance(image, GPParams):
+        assert XI_RULE[subclass](image.xi)
 
 
 def test_log_of_power_is_log_power():

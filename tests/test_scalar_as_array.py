@@ -9,6 +9,10 @@ uniform-joint width density, at the special points, at each finite
 support edge with its float neighbours and at 400 seeded points.  No
 law but ``Distribution`` writes a public evaluator or sampler of its
 own, so this rule has one path to hold on.
+
+A NaN point reads NaN in ``log_pdf``, ``pdf`` and ``cdf`` of every such
+law and in both uniform-joint width functions, alone and inside an
+array, where the points around it keep their bits.
 """
 
 import importlib.util
@@ -127,3 +131,27 @@ def test_only_distribution_writes_the_public_evaluators(module):
     own = {f"{c.__name__}.{name}" for c in classes if c is not Distribution
            for name in PUBLIC if name in vars(c)}
     assert not own
+
+
+def _nan_reads_nan(evaluate, x, y):
+    """evaluate at a scalar NaN is a float NaN; at [x, nan, y] it is NaN in
+    the middle, with x and y at their bits alone."""
+    alone = evaluate(math.nan)
+    assert isinstance(alone, float) and math.isnan(alone)
+    got = evaluate(np.array([x, math.nan, y])).tolist()
+    assert math.isnan(got[1])
+    assert _bits([got[0], got[2]]) == _bits([evaluate(x), evaluate(y)])
+
+
+@pytest.mark.parametrize("method", ("log_pdf", "pdf", "cdf"))
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_nan_point_reads_nan(name, method):
+    dist = LAWS[name]
+    x, y = dist.quantile(np.array([0.3, 0.8])).tolist()
+    _nan_reads_nan(getattr(dist, method), x, y)
+
+
+@pytest.mark.parametrize("method", ("width_pdf", "width_cdf"))
+def test_nan_width_reads_nan(method):
+    post = FITS["uniform/joint"].posterior
+    _nan_reads_nan(getattr(post, method), 1.5 * post.w_n, 3.0 * post.w_n)
