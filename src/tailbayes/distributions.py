@@ -79,14 +79,16 @@ def _points(x):
 
 def _ret(x, out):
     """The float array out, or its one value when x was a scalar."""
-    return out.item() if np.ndim(x) == 0 else out
+    # an array's own ndim skips np.ndim's dispatch, which costs more here
+    ndim = x.ndim if isinstance(x, np.ndarray) else np.ndim(x)
+    return out.item() if ndim == 0 else out
 
 
 def _check_prob(p):
     """p as _points gives it; DomainError unless every entry lies strictly
     inside (0, 1).  NaN propagates through min and max, so it is refused."""
     p = _points(p)
-    if p.size and not (0.0 < p.min() and p.max() < 1.0):
+    if p.size and not (0.0 < np.minimum.reduce(p) and np.maximum.reduce(p) < 1.0):
         raise DomainError("probability must lie strictly inside (0, 1)")
     return p
 
@@ -207,7 +209,8 @@ class Pareto(Distribution):
             + self.alpha * math.log(self.l)
             - (self.alpha + 1.0) * np.log(np.maximum(xa, self.l))
         )
-        return np.where(xa < self.l, -np.inf, body)
+        np.putmask(body, xa < self.l, -np.inf)
+        return body
 
     def _cdf(self, xa):
         # the ratio is 1 below l, so the cdf is exactly 0 there
@@ -263,10 +266,13 @@ class ShiftedExp(Distribution):
 
     def _log_pdf(self, xa):
         body = math.log(self.alpha) - self.alpha * (xa - self.l)
-        return np.where(xa < self.l, -np.inf, body)
+        np.putmask(body, xa < self.l, -np.inf)
+        return body
 
     def _cdf(self, xa):
-        return np.where(xa < self.l, 0.0, -np.expm1(-self.alpha * np.maximum(xa - self.l, 0.0)))
+        out = -np.expm1(-self.alpha * np.maximum(xa - self.l, 0.0))
+        np.putmask(out, xa < self.l, 0.0)
+        return out
 
     def _inv(self, p):
         return self.l - np.log1p(-p) / self.alpha
@@ -293,7 +299,7 @@ class Power(Distribution):
             # x held to [0, a], so log x is finite but at 0, where -inf
             # times b - 1 is the density's own limit, -inf or +inf
             with np.errstate(divide="ignore"):
-                log_x = np.log(xa.clip(0.0, self.a))
+                log_x = np.log(np.minimum(self.a, np.maximum(0.0, xa)))
         body = (
             math.log(self.b)
             + (self.b - 1.0) * log_x
@@ -303,7 +309,7 @@ class Power(Distribution):
         return np.where((xa >= 0.0) & (xa < self.a), body, np.minimum(xa, -np.inf))
 
     def _cdf(self, xa):
-        return (xa / self.a).clip(0.0, 1.0) ** self.b
+        return np.minimum(1.0, np.maximum(0.0, xa / self.a)) ** self.b
 
     def _inv(self, p):
         return self.a * p ** (1.0 / self.b)
@@ -355,7 +361,7 @@ class Uniform(Distribution):
         return np.where((xa >= self.l) & (xa < self.u), body, np.minimum(xa, -np.inf))
 
     def _cdf(self, xa):
-        return ((xa - self.l) / (self.u - self.l)).clip(0.0, 1.0)
+        return np.minimum(1.0, np.maximum(0.0, (xa - self.l) / (self.u - self.l)))
 
     def _inv(self, p):
         return self.l + (self.u - self.l) * p
@@ -395,7 +401,8 @@ class Gamma(Distribution):
                 if self.shape > 1.0
                 else (math.log(self.rate) if self.shape == 1.0 else np.inf)
             )
-        out = np.where(xa < 0, -np.inf, body)
+        # at +inf the body is inf - inf (or 0 * inf); the limit is -inf
+        out = np.where((xa < 0) | (xa == math.inf), -np.inf, body)
         return np.where(xa == 0.0, at_zero, out)
 
     def _cdf(self, xa):

@@ -216,21 +216,21 @@ class SupportReport:
 def fit(spec: ModelSpec, stats: SuffStats) -> FittedModel:
     """Run the conjugate update of spec's cell on the given statistics."""
     cell = CELLS[(spec.family, spec.case)]
-    name = f"{spec.family}/{spec.case}"
     if spec.noninformative:
         if cell.noninformative is None:
             raise DomainError(f"no non-informative limit is provided for "
-                              f"{name}; supply a proper prior")
+                              f"{spec.family}/{spec.case}; supply a proper prior")
         missing = [k for k in cell.known if k not in spec.known]
         if missing:
-            raise UsageError(f"{name} non-informative fit needs known "
-                             f"parameter(s) {missing}")
+            raise UsageError(f"{spec.family}/{spec.case} non-informative fit "
+                             f"needs known parameter(s) {missing}")
         known = {k: float(spec.known[k]) for k in cell.known}
         require_finite(known)
         post = cell.conjugate.noninformative(cell.noninformative, stats, **known)
     else:
         if not isinstance(spec.prior, cell.prior):
-            raise UsageError(f"{name} expects a {cell.prior.__name__} prior, "
+            raise UsageError(f"{spec.family}/{spec.case} expects a "
+                             f"{cell.prior.__name__} prior, "
                              f"got {type(spec.prior).__name__}")
         known = {k: getattr(spec.prior, k) for k in cell.known}
         post = getattr(cell.conjugate, cell.update)(spec.prior, stats)
@@ -264,12 +264,16 @@ def select_threshold(data, k: int):
     """Top-k threshold: theta is the k-th largest value; exceedances are
     every value strictly above theta, kept in input order (ties at theta
     are excluded).  data is a batch as suff_stats reads it: a 0-d input
-    is one value, and more than one dimension is DomainError."""
+    is one value, and more than one dimension or a non-finite value is
+    DomainError."""
     arr = _batch(data)
     n = arr.size
+    if not np.logical_and.reduce(np.isfinite(arr)):
+        raise DomainError("data must be finite")
     if not 1 <= k <= n:
         raise DomainError(f"k must be in [1, {n}], got {k}")
-    theta = float(np.sort(arr)[n - k])
+    # the (n - k)-th order statistic, as a full sort would place it
+    theta = float(np.partition(arr, n - k)[n - k])
     return theta, arr[arr > theta]
 
 
@@ -298,7 +302,7 @@ def holdout_log_predictive(predictive, holdout) -> float:
     arr = _batch(holdout)
     if arr.size == 0:
         return 0.0
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr)):
         raise DomainError("holdout points must be finite")
     logs = np.asarray(predictive.log_pdf(arr)).tolist()
     if -math.inf in logs:

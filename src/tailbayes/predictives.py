@@ -27,6 +27,16 @@ With scale == offset the support edge sits exactly at ``anchor``.  All
 three record-discounted predictives use scale < offset, which moves the
 edge past the posterior bound: below it for the log and shift links,
 above it for the negated-log link.  Every parameter must be finite.
+
+A streamed batch evaluates these laws on small arrays, where the fixed
+cost of each numpy call outweighs its arithmetic, so the masks take as
+few passes as keep every bit.  A link's log density masks only its finite
+edge: past the other end, x = +inf on a rising axis and x <= 0 on the
+-log axis, the distance y is +inf, so the body already reads -inf.  The
+-log axis lifts x <= 0 to zero as ``np.maximum(xa, 0.0)``, in that
+order: numpy's maximum returns its second argument on a tie, so
+x = -0.0 becomes +0.0 and b/x is +inf, where the other order keeps
+-0.0, b/x = -inf and its log NaN.
 """
 
 from __future__ import annotations
@@ -79,18 +89,27 @@ def _minus_log(xa):
     return -np.log(np.maximum(xa, _TINY))
 
 
+def _log_or_minus_inf(r):
+    """log r where r > 0, -inf where r <= 0 and NaN at NaN, with no
+    warning.  A positive r is at least the least subnormal, which maximum
+    leaves as it is, so its log has the bits of np.log(r)."""
+    out = np.log(np.maximum(r, _TINY))
+    np.putmask(out, r <= 0, -np.inf)
+    return out
+
+
 def _log_ratio(xa, b):
-    # x/b is 0 for non-positive x and may underflow to 0 for tiny x; a NaN
-    # ratio takes its log, NaN
-    r = xa / b
-    return np.log(r, out=np.full(r.shape, -np.inf), where=~(r <= 0))
+    # x/b is <= 0 for x <= 0 and may underflow to 0 for tiny x: -inf
+    return _log_or_minus_inf(xa / b)
 
 
 def _log_inverse_ratio(xa, b):
     # b/x overflows for subnormal x, where log(inf) = inf is the right
-    # limit, and is 0 at x = inf, where log(0) = -inf is; NaN stays NaN
+    # limit, and is 0 at x = inf, where log(0) = -inf is; NaN stays NaN.
+    # x <= 0 is lifted to +0.0, where b/x = +inf (the module docstring
+    # says why maximum takes its arguments in this order)
     with np.errstate(over="ignore", divide="ignore"):
-        r = np.divide(b, xa, out=np.full(xa.shape, np.inf), where=~(xa <= 0))
+        r = b / np.maximum(xa, 0.0)
         return np.log(r, out=r)
 
 
@@ -148,14 +167,16 @@ class ParetoLink(Distribution):
         # inside is decided against the reported edge, not against y, which
         # rounds apart from it; maximum lifts y to the latent scale, where
         # its log is finite, for a point at the edge whose y rounds below it
-        # and for the points outside, which read -inf
+        # and for the points outside, which read -inf.  Only the finite edge
+        # is masked: past the other end y is +inf, so the body reads -inf
         body = (
             math.log(self.shape)
             + self.shape * math.log(self.scale)
             + self.axis.log_jacobian(xa)
             - (self.shape + 1.0) * np.log(np.maximum(y, self.scale))
         )
-        return np.where((xa < lo) | (xa > hi), -np.inf, body)
+        np.putmask(body, xa < lo if self.axis.rises else xa > hi, -np.inf)
+        return body
 
     def _cdf(self, xa):
         # P(Y >= y(x)), which is 1 below the latent scale, is the upper tail
@@ -236,20 +257,23 @@ class Trapezoid(Distribution):
         xc = self._clip(xa)
         h = self.height
         up = h * (xc - self.lower) / (self.flat_lo - self.lower)
-        down = h * (self.upper - xc) / (self.upper - self.flat_hi)
-        # up is 0 below lower; NaN falls through to down, NaN
-        return np.where(xa < self.flat_lo, up,
-                        np.where(xa < self.flat_hi, h,
-                                 np.where(xa >= self.upper, 0.0, down)))
+        out = h * (self.upper - xc) / (self.upper - self.flat_hi)
+        # pieces set from the right in, so that each overrides the last;
+        # up is 0 below lower; NaN, in no mask, keeps down's NaN
+        np.putmask(out, xa >= self.upper, 0.0)
+        np.putmask(out, xa < self.flat_hi, h)
+        np.putmask(out, xa < self.flat_lo, up)
+        return out
 
     def _clip(self, xa):
         """x held to [lower, upper], where the ramps are read: far outside,
         their products and squares would overflow."""
-        return xa.clip(self.lower, self.upper)
+        # bound first: maximum and minimum return their second argument
+        # on a tie, so x = -0.0 at lower = 0.0 stays -0.0, as clip keeps it
+        return np.minimum(self.upper, np.maximum(self.lower, xa))
 
     def _log_pdf(self, xa):
-        dens = self._pdf(xa)
-        return np.log(dens, out=np.full(dens.shape, -np.inf), where=dens != 0)
+        return _log_or_minus_inf(self._pdf(xa))
 
     def _cdf(self, xa):
         xc = self._clip(xa)
@@ -259,11 +283,13 @@ class Trapezoid(Distribution):
         c1 = 0.5 * h * r1
         ramp1 = 0.5 * h * (xc - self.lower) ** 2 / r1
         mid = c1 + h * (xc - self.flat_lo)
-        ramp2 = 1.0 - 0.5 * h * (self.upper - xc) ** 2 / r2
-        # ramp1 is 0 below lower; NaN falls through to ramp2, NaN
-        return np.where(xa < self.flat_lo, ramp1,
-                        np.where(xa < self.flat_hi, mid,
-                                 np.where(xa >= self.upper, 1.0, ramp2)))
+        out = 1.0 - 0.5 * h * (self.upper - xc) ** 2 / r2
+        # set as in _pdf; ramp1 is 0 below lower; NaN keeps the falling
+        # ramp's NaN
+        np.putmask(out, xa >= self.upper, 1.0)
+        np.putmask(out, xa < self.flat_hi, mid)
+        np.putmask(out, xa < self.flat_lo, ramp1)
+        return out
 
     def _inv(self, p):
         # 0 < p < 1, so both square roots take positive arguments
@@ -274,5 +300,7 @@ class Trapezoid(Distribution):
         c2 = c1 + h * (self.flat_hi - self.flat_lo)
         in_ramp1 = self.lower + np.sqrt(2.0 * p * r1 / h)
         in_mid = self.flat_lo + (p - c1) / h
-        in_ramp2 = self.upper - np.sqrt(2.0 * (1.0 - p) * r2 / h)
-        return np.where(p <= c1, in_ramp1, np.where(p <= c2, in_mid, in_ramp2))
+        out = self.upper - np.sqrt(2.0 * (1.0 - p) * r2 / h)
+        np.putmask(out, p <= c2, in_mid)
+        np.putmask(out, p <= c1, in_ramp1)
+        return out

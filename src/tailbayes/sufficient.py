@@ -83,17 +83,18 @@ def suff_stats(data) -> SuffStats:
     if x.size == 0:
         return EMPTY
     # NaN propagates through min and max, so both are finite exactly when
-    # every datum is
-    lo, hi = float(x.min()), float(x.max())
+    # every datum is.  The reductions are called as ufuncs, skipping
+    # ndarray.min/max/sum's Python wrappers; the sum is the same pairwise sum
+    lo, hi = float(np.minimum.reduce(x)), float(np.maximum.reduce(x))
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("data must be finite")
     if x.size * max(hi, -lo) < _SAFE_SUM:
-        total = float(x.sum())
+        total = float(np.add.reduce(x))
     else:
         # a partial sum may leave float range; SuffStats refuses the inf
         with np.errstate(over="ignore"):
-            total = float(x.sum())
-    slog = float(np.log(x).sum()) if lo > 0 else None
+            total = float(np.add.reduce(x))
+    slog = float(np.add.reduce(np.log(x))) if lo > 0 else None
     return SuffStats(n=int(x.size), min=lo, max=hi, sum=total, sum_log=slog)
 
 

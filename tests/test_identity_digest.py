@@ -7,8 +7,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 SCRIPT = REPO / "scripts" / "identity_digest.py"
-COMMANDS = 2 * 20 + 1 + 8 + 4   # predict and support per state, verify,
-                                # simulate per family, plotdata per figure
+COMMANDS = 2 * 20 + 1 + 8 + 4 + 7   # predict and support per state, verify,
+                                    # simulate per family, plotdata per figure,
+                                    # the data commands
 
 
 def test_two_runs_print_the_same_lines_with_exit_0():

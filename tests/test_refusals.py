@@ -46,6 +46,8 @@ PARETO_FLOOR = pp.predict(pp.fit(
 BATCH_READERS = {
     "suff_stats": suff_stats,
     "select_threshold": lambda data: pp.select_threshold(data, 1),
+    "pot_fit": lambda data: pp.pot_fit(data, 1, pp.ModelSpec(
+        "pareto", "location", noninformative=True, known={"alpha": 1.2})),
     "holdout_log_predictive":
         lambda data: pp.holdout_log_predictive(PARETO_FLOOR, data),
 }
@@ -59,6 +61,16 @@ def test_batch_of_more_than_one_dimension_is_refused(data, reader):
     # one rule for the three entry points: refused for its shape, before
     # its values are read
     with pytest.raises(DomainError, match="1-d sequence"):
+        BATCH_READERS[reader](data)
+
+
+@pytest.mark.parametrize("reader", sorted(BATCH_READERS))
+@pytest.mark.parametrize("data", [
+    [1.0, math.nan, 3.0, 2.0, 5.0], [1.0, math.inf, 3.0], [-math.inf, 2.0],
+], ids=["nan", "inf", "-inf"])
+def test_batch_with_a_non_finite_value_is_refused(data, reader):
+    # no entry point drops or ranks a non-finite value without a word
+    with pytest.raises(DomainError, match="must be finite"):
         BATCH_READERS[reader](data)
 
 

@@ -12,7 +12,9 @@ own, so this rule has one path to hold on.
 
 A NaN point reads NaN in ``log_pdf``, ``pdf`` and ``cdf`` of every such
 law and in both uniform-joint width functions, alone and inside an
-array, where the points around it keep their bits.
+array, where the points around it keep their bits.  At -inf and +inf
+every law reads its limits, never NaN: log density -inf, density 0 and
+cdf 0 and 1.
 """
 
 import importlib.util
@@ -63,6 +65,7 @@ LAWS = {
     "log_power": LogPower(a=1.5, b=0.9),
     "uniform": Uniform(l=-1.0, u=3.5),
     "gamma": Gamma(shape=3.2, rate=0.7),
+    "gamma_shape=1": Gamma(shape=1.0, rate=0.7),
     "trapezoid": Trapezoid(lower=1.0, flat_lo=2.0, flat_hi=3.5, upper=4.0),
     **{name: pp.predict(fitted) for name, fitted in FITS.items()},
 }
@@ -149,6 +152,19 @@ def test_nan_point_reads_nan(name, method):
     dist = LAWS[name]
     x, y = dist.quantile(np.array([0.3, 0.8])).tolist()
     _nan_reads_nan(getattr(dist, method), x, y)
+
+
+@pytest.mark.parametrize("method, limits", [
+    ("log_pdf", (-math.inf, -math.inf)), ("pdf", (0.0, 0.0)), ("cdf", (0.0, 1.0)),
+], ids=("log_pdf", "pdf", "cdf"))
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_infinite_point_reads_its_limit(name, method, limits):
+    evaluate = getattr(LAWS[name], method)
+    x = LAWS[name].quantile(0.5)
+    assert (evaluate(-math.inf), evaluate(math.inf)) == limits
+    got = evaluate(np.array([-math.inf, x, math.inf])).tolist()
+    assert (got[0], got[2]) == limits
+    assert _bits([got[1]]) == _bits([evaluate(x)])
 
 
 @pytest.mark.parametrize("method", ("width_pdf", "width_cdf"))
